@@ -3,7 +3,9 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for the per-table benchmark suites: prints the reproduced table and
-  * writes it under bench/results/ so EXPERIMENTS.md can quote it.
+  * writes it to `bench/results/` under the forked test JVM's working
+  * directory, `bench/`, i.e. `bench/bench/results/` in the repository, so
+  * EXPERIMENTS.md can quote it.
   */
 trait BenchBase extends AnyFunSuite {
   def record(name: String, title: String, table: String): Unit = {

@@ -9,8 +9,12 @@ import scala.collection.mutable.ArrayBuffer
   */
 object Kernels {
   def rowBytes(row: Array[Int]): Long = 4L * row.length
-  def batchBytes(batch: Array[Array[Int]]): Long =
-    batch.iterator.map(rowBytes).sum
+  def batchBytes(batch: Array[Array[Int]]): Long = {
+    var bytes = 0L
+    var i     = 0
+    while (i < batch.length) { bytes += rowBytes(batch(i)); i += 1 }
+    bytes
+  }
 
   def condsOk(op: Op, row: Array[Int]): Boolean = SimpleExec.condsOk(op, row)
 
@@ -51,17 +55,6 @@ object Kernels {
         i += 1
       }
       if (condsOkFast(cc, row)) row else null
-    }
-  }
-
-  /** Join one key-group: every (left, right) pair through [[PairJoin]]. */
-  def joinGroups(j: PushJoin, left: collection.Seq[Array[Int]],
-                 right: collection.Seq[Array[Int]],
-                 emit: Array[Int] => Unit): Unit = {
-    val pj = new PairJoin(j)
-    for (l <- left; r <- right) {
-      val row = pj.tryJoin(l, r)
-      if (row != null) emit(row)
     }
   }
 
@@ -123,20 +116,30 @@ object Kernels {
   * ("external merge sort via the join keys"). `sortedIterator` merges the
   * in-memory rest with all on-disk runs into one key-ordered stream, so the
   * join reads each key group streaming — memory stays bounded by the buffer
-  * size regardless of input size.
+  * size regardless of input size. Spilled runs and the in-memory rest are
+  * ordered by the same sort, [[JoinSideBuffer.sortByKeys]].
   */
 final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRows: Int,
                            machine: Int, metrics: Metrics) {
   private val mem   = new ArrayBuffer[Array[Int]]()
   private val runs  = new ArrayBuffer[File]()
   private var total = 0L
-
-  private def keyOrdering: Ordering[Array[Int]] =
-    (a, b) => Kernels.compareKeys(a, keyCols, b, keyCols)
+  // Per key column of the in-memory rows, sign bit flipped: the bits that
+  // are 1 in every row and in some row. Bits outside their difference
+  // cannot change the order, and the sort skips them.
+  private val keySame = Array.fill(keyCols.length)(-1)
+  private val keyAny  = new Array[Int](keyCols.length)
 
   def add(row: Array[Int]): Unit = this.synchronized {
     mem += row
     total += 1
+    var c = 0
+    while (c < keyCols.length) {
+      val v = row(keyCols(c)) ^ Int.MinValue
+      keySame(c) &= v
+      keyAny(c) |= v
+      c += 1
+    }
     metrics.memAdd(machine, Kernels.rowBytes(row))
     if (mem.length >= spillThresholdRows) spill()
   }
@@ -144,7 +147,7 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
   def rows: Long = this.synchronized(total)
 
   private def spill(): Unit = {
-    val sorted = mem.sorted(keyOrdering)
+    val sorted = JoinSideBuffer.sortByKeys(mem, keyCols, keySame, keyAny)
     val f      = File.createTempFile(s"huge-join-m$machine", ".run")
     f.deleteOnExit()
     val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f), 1 << 16))
@@ -152,15 +155,14 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
     finally out.close()
     runs += f
     metrics.spilledBytes.addAndGet(4L * rowWidth * sorted.length)
-    metrics.memAdd(machine, -mem.iterator.map(Kernels.rowBytes).sum)
-    mem.clear()
+    releaseMem()
   }
 
   /** Key-ordered iterator over all buffered rows (memory + spilled runs).
     * Call once, after all producers are done.
     */
   def sortedIterator(): Iterator[Array[Int]] = this.synchronized {
-    val memSorted = mem.sorted(keyOrdering).iterator
+    val memSorted = JoinSideBuffer.sortByKeys(mem, keyCols, keySame, keyAny).iterator
     val runIts: Seq[Iterator[Array[Int]]] = runs.toSeq.map(readRun)
     val its = (memSorted +: runIts).map(_.buffered).filter(_.hasNext)
     if (its.isEmpty) return Iterator.empty
@@ -198,9 +200,119 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
 
   /** Release in-memory rows (after the join consumed the iterator). */
   def clear(): Unit = this.synchronized {
-    metrics.memAdd(machine, -mem.iterator.map(Kernels.rowBytes).sum)
-    mem.clear()
+    releaseMem()
     runs.foreach(_.delete())
     runs.clear()
+  }
+
+  private def releaseMem(): Unit = {
+    metrics.memAdd(machine, -4L * rowWidth * mem.length)
+    mem.clear()
+    java.util.Arrays.fill(keySame, -1)
+    java.util.Arrays.fill(keyAny, 0)
+  }
+}
+
+object JoinSideBuffer {
+
+  /** Stable LSD radix sort of `rows` by the key columns `keyCols`, in the
+    * order of [[Kernels.compareKeys]]. No comparisons, no boxing.
+    *
+    * Key values are taken with the sign bit flipped, so that unsigned order
+    * is `Int` order. `same(c)` and `any(c)` hold the bits of key column `c`
+    * that are 1 in every row and in some row; only the bits where they
+    * differ are sorted. Each round packs those bits of as many trailing key
+    * columns as fit into 32 into one composite key per row, held in a
+    * `Long` above the row's index, and sorts it in digits whose width
+    * minimises passes × (rows + buckets), skipping a digit that is the same
+    * for every row. Rounds run from the last key columns to the first, so a
+    * join key of up to 32 varying bits is sorted in one round.
+    */
+  private def sortByKeys(rows: ArrayBuffer[Array[Int]], keyCols: Array[Int],
+                         same: Array[Int], any: Array[Int]): Array[Array[Int]] = {
+    val n     = rows.length
+    val k     = keyCols.length
+    val lo    = Array.tabulate(k)(c => Integer.numberOfTrailingZeros(same(c) ^ any(c)))
+    val width = Array.tabulate(k)(c => 32 - Integer.numberOfLeadingZeros(same(c) ^ any(c)) - lo(c) max 0)
+
+    var a = new Array[Long](n)
+    var b = new Array[Long](n)
+    var i = 0
+    while (i < n) { a(i) = i; i += 1 }
+    var hist = new Array[Int](0)
+    var last = k - 1
+    while (last >= 0 && n > 1) {
+      var first = last
+      var bits  = width(last)
+      while (first > 0 && bits + width(first - 1) <= 32) { first -= 1; bits += width(first) }
+      var packedSame = -1
+      var packedAny  = 0
+      i = 0
+      while (i < n) {
+        val idx = a(i).toInt
+        val r   = rows(idx)
+        var key = 0
+        var c   = first
+        while (c <= last) {
+          if (width(c) > 0)
+            key = (key << width(c)) | (((r(keyCols(c)) ^ Int.MinValue) >>> lo(c)) & (-1 >>> (32 - width(c))))
+          c += 1
+        }
+        packedSame &= key
+        packedAny |= key
+        a(i) = (key.toLong << 32) | idx
+        i += 1
+      }
+      val diff = packedSame ^ packedAny
+      if (diff != 0) {
+        val from  = Integer.numberOfTrailingZeros(diff)
+        val to    = 32 - Integer.numberOfLeadingZeros(diff)
+        val digit = digitBits(n, to - from)
+        val mask  = (1 << digit) - 1
+        if (hist.length <= mask) hist = new Array[Int](mask + 1)
+        var shift = from
+        while (shift < to) {
+          if (((diff >>> shift) & mask) != 0) {
+            java.util.Arrays.fill(hist, 0, mask + 1, 0)
+            i = 0
+            while (i < n) { hist((a(i) >>> (32 + shift)).toInt & mask) += 1; i += 1 }
+            var start = 0
+            var d     = 0
+            while (d <= mask) { val h = hist(d); hist(d) = start; start += h; d += 1 }
+            i = 0
+            while (i < n) {
+              val x = a(i)
+              d = (x >>> (32 + shift)).toInt & mask
+              b(hist(d)) = x
+              hist(d) += 1
+              i += 1
+            }
+            val t = a; a = b; b = t
+          }
+          shift += digit
+        }
+      }
+      last = first - 1
+    }
+    b = null // garbage from here on; a collection during the copy may reclaim it
+    val out = new Array[Array[Int]](n)
+    i = 0
+    while (i < n) { out(i) = rows(a(i).toInt); i += 1 }
+    out
+  }
+
+  /** Digit width for sorting `width` varying bits of `n` rows: the one that
+    * minimises passes × (n + 2^bits), capped at 16 bits.
+    */
+  private def digitBits(n: Int, width: Int): Int = {
+    var best     = 1
+    var bestCost = Long.MaxValue
+    var bits     = 1
+    while (bits <= math.min(16, width)) {
+      val cost = ((width + bits - 1) / bits).toLong * (n + (1L << bits))
+      if (cost < bestCost) { best = bits; bestCost = cost }
+      bits += 1
+    }
+    best
   }
 }

@@ -53,6 +53,9 @@ final class Metrics(val k: Int, val net: NetworkModel = NetworkModel()) {
     if (bytes > 0) memPeak(machine).getAndAccumulate(now, math.max)
   }
 
+  /** Intermediate bytes `machine` holds right now. */
+  def heldBytes(machine: Int): Long = memNow(machine).get
+
   def peakMemoryBytes: Long = memPeak.map(_.get).max
 
   var measuredWallSec: Double = 0.0

@@ -119,11 +119,23 @@ class EngineSpec extends AnyFunSuite {
   }
 
   // --- spilling -------------------------------------------------------------
+  /** `pl` relabelled so every vertex id is at least 65,536 (the low ids are
+    * isolated): even ids move up by 65,536 and odd ids by 131,072, so join
+    * keys also differ above their low 16 bits.
+    */
+  lazy val plHighIds: DataGraph = {
+    def relabel(v: Int) = v + (1 << 16) * (1 + v % 2)
+    DataGraph.fromEdges((1 << 17) + TestGraphs.pl.numVertices,
+      TestGraphs.pl.edgeIterator.map { case (a, b) => (relabel(a), relabel(b)) })
+  }
+
   test("hash join spills to disk when the buffer threshold is tiny, still exact") {
     val cfg = base().copy(spillThresholdRows = 16)
-    val m   = hugeRun(Queries.q7, TestGraphs.pl, cfg)
-    assert(m.results.get == expected(Queries.q7, TestGraphs.pl))
-    assert(m.spilledBytes.get > 0)
+    for (g <- Seq(TestGraphs.pl, plHighIds)) {
+      val m = hugeRun(Queries.q7, g, cfg)
+      assert(m.results.get == expected(Queries.q7, g))
+      assert(m.spilledBytes.get > 0)
+    }
   }
 
   // --- stealing -------------------------------------------------------------
