@@ -16,7 +16,7 @@ object RunQuery {
     val query   = if (args.length > 1) args(1) else "q1"
     val space   = if (args.length > 2) args(2) else "huge"
 
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+    val spark = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"huge-$dataset-$query")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

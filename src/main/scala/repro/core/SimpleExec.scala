@@ -1,11 +1,15 @@
 package repro.core
 
-import repro.graph.{DataGraph, Intersect}
+import repro.engine.Kernels
+import repro.graph.DataGraph
+import scala.collection.mutable.ArrayBuffer
 
 /** Reference single-threaded interpreter of a dataflow [[Op]] tree.
   *
   * Used to validate plans/dataflows independently of the distributed
-  * engines, and as the local compute kernel shared with them. Rows are
+  * engines: a sequential traversal without partitioning, caches, queues or
+  * stealing. The row semantics of every operator come from
+  * [[repro.engine.Kernels]], the same kernels the engine runs. Rows are
   * arrays of data-vertex ids in `op.matched` column order.
   */
 object SimpleExec {
@@ -22,68 +26,37 @@ object SimpleExec {
     out.result()
   }
 
-  /** Check symmetry conditions of `op` against a row (in op.matched order). */
-  def condsOk(op: Op, row: Array[Int]): Boolean =
-    op.conds.forall { case (x, y) => row(op.col(x)) < row(op.col(y)) }
-
   def foreach(op: Op, g: DataGraph)(f: Array[Int] => Unit): Unit = op match {
-    case s @ ScanEdge(_, _, _) =>
-      val row = new Array[Int](2)
+    case s: ScanEdge =>
+      val conds = new Kernels.Conds(s)
       g.directedEdgeIterator.foreach { case (u, w) =>
-        row(0) = u; row(1) = w
-        if (condsOk(s, row)) f(row)
+        val row = Array(u, w)
+        if (conds.ok(row)) f(row)
       }
 
     case e: PullExtend =>
-      val pivotCols = e.ext.map(e.input.col).toArray
+      val extend = new Kernels.Extend(e)
+      val out    = new ArrayBuffer[Array[Int]]()
       foreach(e.input, g) { in =>
-        val lists = pivotCols.map(c => g.neighbours(in(c)))
-        val cands = Intersect.sortedMany(lists.toIndexedSeq)
-        if (e.verify) {
-          val t = in(e.input.col(e.target))
-          if (java.util.Arrays.binarySearch(cands, t) >= 0 && condsOk(e, in)) f(in)
-        } else {
-          val row = java.util.Arrays.copyOf(in, in.length + 1)
-          var i = 0
-          while (i < cands.length) {
-            val v = cands(i)
-            var distinct = true
-            var j = 0
-            while (distinct && j < in.length) { if (in(j) == v) distinct = false; j += 1 }
-            if (distinct) {
-              row(in.length) = v
-              if (condsOk(e, row)) f(row)
-            }
-            i += 1
-          }
-        }
+        extend(in, g.neighbours, out)
+        out.foreach(f)
+        out.clear()
       }
 
     case j: PushJoin =>
       // Build side = left; probe side = right (tests run on tiny graphs).
       val lKeyCols = j.key.map(j.left.col).toArray
       val rKeyCols = j.key.map(j.right.col).toArray
-      val rExtraCols = j.right.matched.zipWithIndex
-        .collect { case (v, i) if !j.left.matched.contains(v) => i }.toArray
-      val built = collection.mutable.Map.empty[Vector[Int], List[Array[Int]]]
+      val pairs    = new Kernels.PairJoin(j)
+      val built    = collection.mutable.Map.empty[Vector[Int], List[Array[Int]]]
       foreach(j.left, g) { l =>
         val k = lKeyCols.map(l).toVector
         built(k) = l.clone() :: built.getOrElse(k, Nil)
       }
       foreach(j.right, g) { r =>
-        val k = rKeyCols.map(r).toVector
-        for (l <- built.getOrElse(k, Nil)) {
-          val row = java.util.Arrays.copyOf(l, j.matched.length)
-          var ok  = true
-          var i   = 0
-          while (ok && i < rExtraCols.length) {
-            val v = r(rExtraCols(i))
-            var p = 0
-            while (ok && p < l.length) { if (l(p) == v) ok = false; p += 1 }
-            if (ok) row(l.length + i) = v
-            i += 1
-          }
-          if (ok && condsOk(j, row)) f(row)
+        for (l <- built.getOrElse(rKeyCols.map(r).toVector, Nil)) {
+          val row = pairs.tryJoin(l, r)
+          if (row != null) f(row)
         }
       }
   }

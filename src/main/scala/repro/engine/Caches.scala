@@ -32,8 +32,8 @@ object NbrCache {
     case "lrbu"      => new LrbuCache(capacity, copyOnGet = false, locked = false)
     case "lrbu-copy" => new LrbuCache(capacity, copyOnGet = true,  locked = false)
     case "lrbu-lock" => new LrbuCache(capacity, copyOnGet = true,  locked = true)
-    case "lru-inf"   => new LruCache(Int.MaxValue)
-    case "cncr-lru"  => new ConcurrentLruCache(capacity)
+    case "lru-inf"   => new LruCache(Int.MaxValue, twoStage = true)
+    case "cncr-lru"  => new LruCache(capacity, twoStage = false)
     case other       => sys.error(s"unknown cache kind $other")
   }
 }
@@ -91,9 +91,12 @@ final class LrbuCache(capacity: Int, copyOnGet: Boolean, locked: Boolean) extend
 }
 
 /** Classic LRU updated on every read — reads mutate recency, so every
-  * access takes the lock. Capacity Int.MaxValue reproduces LRU-Inf.
+  * access takes the lock. Capacity Int.MaxValue reproduces LRU-Inf. With
+  * `twoStage = false` it is the paper's Cncr-LRU baseline: workers fetch
+  * remote adjacency on demand during the intersection (per-access RPCs) and
+  * contend on the shared lock.
   */
-final class LruCache(capacity: Int) extends NbrCache {
+final class LruCache(capacity: Int, override val twoStage: Boolean) extends NbrCache {
   private val map = new java.util.LinkedHashMap[Integer, Array[Int]](16, 0.75f, true) {
     override def removeEldestEntry(e: java.util.Map.Entry[Integer, Array[Int]]): Boolean =
       this.size() > capacity
@@ -107,35 +110,4 @@ final class LruCache(capacity: Int) extends NbrCache {
   def seal(v: Int): Unit = ()
   def release(): Unit = ()
   def size: Int = this.synchronized { map.size() }
-}
-
-/** Concurrent LRU without the two-stage protocol: workers fetch remote
-  * adjacency on demand during the intersection (per-access RPCs) and
-  * contend on the shared lock — the paper's Cncr-LRU baseline.
-  */
-final class ConcurrentLruCache(capacity: Int) extends NbrCache {
-  private val map = new java.util.LinkedHashMap[Integer, Array[Int]](16, 0.75f, true) {
-    override def removeEldestEntry(e: java.util.Map.Entry[Integer, Array[Int]]): Boolean =
-      this.size() > capacity
-  }
-  override def twoStage: Boolean = false
-  def get(v: Int): Array[Int] = this.synchronized {
-    val r = map.get(v)
-    if (r != null) r.clone() else null
-  }
-  def contains(v: Int): Boolean = this.synchronized { map.containsKey(v) }
-  def insert(v: Int, nbrs: Array[Int]): Unit = this.synchronized { map.put(v, nbrs); () }
-  def seal(v: Int): Unit = ()
-  def release(): Unit = ()
-  def size: Int = this.synchronized { map.size() }
-}
-
-/** A pass-through "cache" for pushing-mode baselines (never caches). */
-final class NoCache extends NbrCache {
-  def get(v: Int): Array[Int] = null
-  def contains(v: Int): Boolean = false
-  def insert(v: Int, nbrs: Array[Int]): Unit = ()
-  def seal(v: Int): Unit = ()
-  def release(): Unit = ()
-  def size: Int = 0
 }

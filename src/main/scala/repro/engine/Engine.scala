@@ -1,9 +1,8 @@
 package repro.engine
 
 import java.util.concurrent.CyclicBarrier
+import java.util.concurrent.atomic.AtomicReference
 import repro.core._
-import repro.graph.Intersect
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Engine configuration — one per "system" (HUGE and every baseline run on
@@ -35,22 +34,24 @@ final case class EngineConfig(
 
 /** Execution structure (§5.4): the operator tree is cut at PUSH-JOINs into
   * linear chains; chains run as stages in topological order with a global
-  * barrier between stages.
+  * barrier between stages. Every operator of a stage is compiled once into
+  * its [[Kernels]] row kernel.
   */
 sealed trait ChainSource
-final case class ScanSrc(op: ScanEdge)  extends ChainSource
-final case class JoinSrc(spec: JoinSpec) extends ChainSource
+final case class ScanSrc(conds: Kernels.Conds) extends ChainSource
+final case class JoinSrc(spec: JoinSpec)       extends ChainSource
 
 sealed trait ChainSink
 case object CountSink                                 extends ChainSink
 final case class JoinSink(spec: JoinSpec, side: Int)  extends ChainSink
 
-final case class Stage(source: ChainSource, exts: Vector[PullExtend], sink: ChainSink)
+final case class Stage(source: ChainSource, exts: Vector[Kernels.Extend], sink: ChainSink)
 
 /** Shared state of one PUSH-JOIN: per-machine, per-side spill buffers. */
 final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
   val leftKeyCols: Array[Int]  = op.key.map(op.left.col).toArray
   val rightKeyCols: Array[Int] = op.key.map(op.right.col).toArray
+  private val pairs            = new Kernels.PairJoin(op)
   val buffers: Array[Array[JoinSideBuffer]] = Array.tabulate(cfg.machines, 2) { (m, side) =>
     val width = if (side == 0) op.left.matched.length else op.right.matched.length
     val keys  = if (side == 0) leftKeyCols else rightKeyCols
@@ -75,9 +76,8 @@ final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
     val li = buffers(m)(0).sortedIterator().buffered
     val ri = buffers(m)(1).sortedIterator().buffered
     new Iterator[Array[Int]] {
-      private val pairs = new Kernels.PairJoin(op)
-      private var lg = new ArrayBuffer[Array[Int]]()
-      private var rg = new ArrayBuffer[Array[Int]]()
+      private val lg = new ArrayBuffer[Array[Int]]()
+      private val rg = new ArrayBuffer[Array[Int]]()
       private var i = 0; private var j = 0
       private var nextRow: Array[Int] = advance()
 
@@ -126,15 +126,15 @@ object Stages {
     */
   def compile(root: Op, cfg: EngineConfig, metrics: Metrics): Vector[Stage] = {
     def decompose(op: Op, sink: ChainSink): Vector[Stage] = {
-      var exts = List.empty[PullExtend]
+      var exts = List.empty[Kernels.Extend]
       var cur  = op
       while (cur.isInstanceOf[PullExtend]) {
         val e = cur.asInstanceOf[PullExtend]
-        exts = e :: exts
+        exts = new Kernels.Extend(e) :: exts
         cur = e.input
       }
       (cur: @unchecked) match {
-        case s: ScanEdge => Vector(Stage(ScanSrc(s), exts.toVector, sink))
+        case s: ScanEdge => Vector(Stage(ScanSrc(new Kernels.Conds(s)), exts.toVector, sink))
         case j: PushJoin =>
           val spec = new JoinSpec(j, cfg, metrics)
           decompose(j.left, JoinSink(spec, 0)) ++
@@ -161,6 +161,7 @@ object Engine {
     val caches  = Array.fill(k)(NbrCache(cfg.cacheKind, cfg.cacheCapacityEntries))
     val pools   = Array.tabulate(k)(m => new WorkerPool(m, cfg.workersPerMachine, metrics))
     val barrier = new CyclicBarrier(k)
+    val failure = new AtomicReference[Throwable]()
     @volatile var aborted = false
     val deadline = if (cfg.timeLimitSec.isInfinity) Long.MaxValue
                    else System.nanoTime() + (cfg.timeLimitSec * 1e9).toLong
@@ -168,34 +169,38 @@ object Engine {
     val boards = stages.map(s => new StageBoard(s, k))
 
     val t0 = System.nanoTime()
-    val threads = (0 until k).map { m =>
-      val t = new Thread(() => {
-        try {
-          for ((stage, si) <- stages.zipWithIndex) {
-            val board  = boards(si)
-            val runner = new MachineRunner(m, stage, board, pg, caches(m), pools(m),
-                                           cfg, metrics, () => aborted,
-                                           () => { aborted = true })
-            runner.deadlineNanos = deadline
-            board.register(m, runner)
-            barrier.await() // all runners registered
-            if (!aborted) runner.runStage()
-            barrier.await() // stage complete everywhere
-            if (m == 0) stage.source match {
-              case JoinSrc(spec) => spec.buffers.foreach(_.foreach(_.clear()))
-              case _             =>
-            }
-            barrier.await()
+    val threads = new Array[Thread](k)
+    for (m <- 0 until k) threads(m) = new Thread(() => {
+      try {
+        for ((stage, si) <- stages.zipWithIndex) {
+          val board  = boards(si)
+          val runner = new MachineRunner(m, stage, board, pg, caches(m), pools(m),
+                                         cfg, metrics, () => aborted,
+                                         () => { aborted = true })
+          runner.deadlineNanos = deadline
+          board.register(m, runner)
+          barrier.await() // all runners registered
+          if (!aborted) runner.runStage()
+          barrier.await() // stage complete everywhere
+          if (m == 0) stage.source match {
+            case JoinSrc(spec) => spec.buffers.foreach(_.foreach(_.clear()))
+            case _             =>
           }
-        } catch {
-          case _: InterruptedException =>
-          case e: Throwable => e.printStackTrace(); aborted = true; barrier.reset()
+          barrier.await()
         }
-      }, s"machine-$m")
-      t.start(); t
-    }
+      } catch {
+        // The first failure stops the run; the peers it interrupts leave
+        // their barrier, pool or idle wait with exceptions of their own.
+        case e: Throwable =>
+          aborted = true
+          if (failure.compareAndSet(null, e))
+            threads.foreach(t => if (t ne Thread.currentThread()) t.interrupt())
+      }
+    }, s"machine-$m")
+    threads.foreach(_.start())
     threads.foreach(_.join())
     pools.foreach(_.shutdown())
+    if (failure.get != null) throw failure.get
     metrics.measuredWallSec = (System.nanoTime() - t0) / 1e9
     caches.foreach { c =>
       metrics.cacheHits.addAndGet(c.hits.get)
@@ -262,7 +267,6 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
 
   // ---- Algorithm 5 --------------------------------------------------------
   def runStage(): Unit = {
-    var spins = 0
     while (!isAborted()) {
       val worked = runOwnWork()
       if (!worked) {
@@ -270,7 +274,6 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
         if (!stole) {
           board.idle(m) = true
           if (board.allDone) return
-          spins += 1
           Thread.sleep(0, 200_000)
           board.idle(m) = false
         } else board.idle(m) = false
@@ -352,7 +355,7 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       batch.clear()
     }
     stage.source match {
-      case ScanSrc(scan) =>
+      case ScanSrc(conds) =>
         while (!sourceDone && !(e > 0 && queues(0).isFull) && !isAborted()) {
           checkDeadline()
           if (scanVertexIdx >= scanLocal.length) { sourceDone = true }
@@ -362,7 +365,7 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
             var i  = scanNbrIdx
             while (i < ns.length) {
               val row = Array(u, ns(i))
-              if (Kernels.condsOk(scan, row)) batch += row
+              if (conds.ok(row)) batch += row
               i += 1
             }
             scanNbrIdx = 0
@@ -392,9 +395,9 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     * batch up to 10^8 output rows in a single burst, stalling the window
     * and overflowing memory far beyond the queue bound.
     */
-  def processExtendBatch(ex: PullExtend, batch: Array[Array[Int]],
+  def processExtendBatch(ex: Kernels.Extend, batch: Array[Array[Int]],
                          emit: ArrayBuffer[Array[Int]] => Unit): Unit = {
-    val pivotCols = ex.ext.map(ex.input.col).toArray
+    val pivotCols    = ex.pivotCols
     val maxExpansion = math.max(cfg.batchSize.toLong * 8, 32768L)
     var start = 0
     var acc   = 0L
@@ -412,16 +415,16 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       if (acc >= maxExpansion || i == batch.length) {
         val sub = if (start == 0 && i == batch.length) batch
                   else java.util.Arrays.copyOfRange(batch, start, i)
-        emit(processExtendSub(ex, pivotCols, sub))
+        emit(processExtendSub(ex, sub))
         start = i
         acc = 0L
       }
     }
   }
 
-  private def processExtendSub(ex: PullExtend, pivotCols: Array[Int],
+  private def processExtendSub(ex: Kernels.Extend,
                                batch: Array[Array[Int]]): ArrayBuffer[Array[Int]] = {
-
+    val pivotCols = ex.pivotCols
     if (cfg.pushExtends) {
       // BiGJoin-native: each partial result travels to the owner of every
       // extension pivot in turn; the intersection itself is then local.
@@ -437,7 +440,7 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
         }
         b += 1
       }
-      return intersectStage(ex, pivotCols, batch, v => pg.serveNbrs(v))
+      return intersectStage(ex, batch, v => pg.serveNbrs(v))
     }
 
     if (cache.twoStage) {
@@ -482,14 +485,14 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       metrics.fetchNanos.addAndGet(System.nanoTime() - tf)
 
       // ---- intersect stage (workers, lock-free reads) ----
-      val out = intersectStage(ex, pivotCols, batch, { v =>
+      val out = intersectStage(ex, batch, { v =>
         if (!cfg.externalStore && pg.owner(v) == m) pg.localNbrs(v, m) else cache.get(v)
       })
       cache.release()
       out
     } else {
       // Per-access mode (Cncr-LRU / BENU): fetch inside the intersection.
-      intersectStage(ex, pivotCols, batch, { v =>
+      intersectStage(ex, batch, { v =>
         if (!cfg.externalStore && pg.owner(v) == m) pg.localNbrs(v, m)
         else {
           var ns = cache.get(v)
@@ -508,70 +511,12 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     }
   }
 
-  // Precomputed per-operator column indices: the intersect loop must never
-  // do Vector.indexOf per row (profiled hotspot).
-  private val extCondCols  = new java.util.IdentityHashMap[PullExtend, Array[Array[Int]]]()
-  private val extTargetCol = new java.util.IdentityHashMap[PullExtend, Integer]()
-  private def condColsOf(ex: PullExtend): Array[Array[Int]] = {
-    var cc = extCondCols.get(ex)
-    if (cc == null) { cc = Kernels.condCols(ex); extCondCols.put(ex, cc) }
-    cc
-  }
-  private def targetColOf(ex: PullExtend): Int = {
-    var tc = extTargetCol.get(ex)
-    if (tc == null) { tc = Integer.valueOf(ex.input.col(ex.target)); extTargetCol.put(ex, tc) }
-    tc.intValue()
-  }
-
-  private def intersectStage(ex: PullExtend, pivotCols: Array[Int],
-                             batch: Array[Array[Int]],
-                             nbrsOf: Int => Array[Int]): ArrayBuffer[Array[Int]] = {
-    val cc = condColsOf(ex)
-    val targetCol = if (ex.verify) targetColOf(ex) else -1
+  private def intersectStage(ex: Kernels.Extend, batch: Array[Array[Int]],
+                             nbrsOf: Int => Array[Int]): ArrayBuffer[Array[Int]] =
     pool.run(scala.collection.immutable.ArraySeq.unsafeWrapArray(batch), cfg.chunkSize,
              () => isAborted() || System.nanoTime() > deadlineNanos) { (row, out) =>
-      var smallest: Array[Int] = null
-      val lists = new Array[Array[Int]](pivotCols.length)
-      var i = 0
-      var empty = false
-      while (i < pivotCols.length && !empty) {
-        val ns = nbrsOf(row(pivotCols(i)))
-        if (ns == null || ns.isEmpty) empty = true
-        else {
-          lists(i) = ns
-          if (smallest == null || ns.length < smallest.length) smallest = ns
-        }
-        i += 1
-      }
-      if (!empty) {
-        var cands = smallest
-        i = 0
-        while (i < lists.length && cands.nonEmpty) {
-          if (lists(i) ne smallest) cands = Intersect.sorted(cands, lists(i))
-          i += 1
-        }
-        if (ex.verify) {
-          val t = row(targetCol)
-          if (java.util.Arrays.binarySearch(cands, t) >= 0 && Kernels.condsOkFast(cc, row))
-            out += row
-        } else {
-          var ci = 0
-          while (ci < cands.length) {
-            val v = cands(ci)
-            var distinct = true
-            var p = 0
-            while (distinct && p < row.length) { if (row(p) == v) distinct = false; p += 1 }
-            if (distinct) {
-              val nr = java.util.Arrays.copyOf(row, row.length + 1)
-              nr(row.length) = v
-              if (Kernels.condsOkFast(cc, nr)) out += nr
-            }
-            ci += 1
-          }
-        }
-      }
+      ex(row, nbrsOf, out)
     }
-  }
 
   // ---- inter-machine StealWork (§5.3) --------------------------------------
   private def trySteal(): Boolean = {

@@ -1,11 +1,16 @@
 package repro.engine
 
 import java.io._
-import repro.core.{Op, PushJoin, SimpleExec}
+import repro.core.{Op, PullExtend, PushJoin}
+import repro.graph.Intersect
 import scala.collection.mutable.ArrayBuffer
 
-/** Shared row-level helpers for the runtime engine. Rows are `Array[Int]`
-  * in the producing operator's `matched` column order; 4 bytes per id.
+/** Row-level kernels shared by [[repro.core.SimpleExec]] and the engine.
+  * Rows are `Array[Int]` in the producing operator's `matched` column
+  * order; 4 bytes per id. Each operator's matching semantics (symmetry
+  * conditions, injectivity, Algorithm 4's extend, the PUSH-JOIN pair merge)
+  * is defined here once, compiled to column indices when the kernel is
+  * built so the row loops never look a query vertex up.
   */
 object Kernels {
   def rowBytes(row: Array[Int]): Long = 4L * row.length
@@ -16,45 +21,97 @@ object Kernels {
     bytes
   }
 
-  def condsOk(op: Op, row: Array[Int]): Boolean = SimpleExec.condsOk(op, row)
-
-  /** Precompute an operator's symmetry conditions as column-index pairs so
-    * the hot loops never do Vector.indexOf per row.
-    */
-  def condCols(op: Op): Array[Array[Int]] =
-    op.conds.map { case (a, b) => Array(op.col(a), op.col(b)) }.toArray
-
-  def condsOkFast(cc: Array[Array[Int]], row: Array[Int]): Boolean = {
-    var i = 0
-    while (i < cc.length) {
-      if (row(cc(i)(0)) >= row(cc(i)(1))) return false
-      i += 1
-    }
-    true
+  /** Whether `v` is already bound in `row` (injectivity). */
+  private def bound(row: Array[Int], v: Int): Boolean = {
+    var p = 0
+    while (p < row.length) { if (row(p) == v) return true; p += 1 }
+    false
   }
 
-  /** Per-pair join kernel: merges one (left, right) row pair — cross-side
-    * injectivity and the join's symmetry conditions enforced (same
-    * semantics as SimpleExec's PushJoin). Returns null if the pair is
-    * infeasible.
+  /** An operator's symmetry conditions (a < b) as column pairs of its rows. */
+  final class Conds(op: Op) {
+    private val lo = op.conds.map(c => op.col(c._1)).toArray
+    private val hi = op.conds.map(c => op.col(c._2)).toArray
+
+    def ok(row: Array[Int]): Boolean = {
+      var i = 0
+      while (i < lo.length) {
+        if (row(lo(i)) >= row(hi(i))) return false
+        i += 1
+      }
+      true
+    }
+  }
+
+  /** PULL-EXTEND (Algorithm 4) on one row: intersect the pivots' neighbour
+    * lists, smallest first, stopping at an empty list. With `verify` the row
+    * is kept iff its target binding lies in the intersection and the
+    * conditions hold; otherwise the row is emitted once per candidate that
+    * differs from every bound vertex and meets the conditions.
+    */
+  final class Extend(op: PullExtend) {
+    val pivotCols: Array[Int] = op.ext.map(op.input.col).toArray
+    private val targetCol     = if (op.verify) op.input.col(op.target) else -1
+    private val conds         = new Conds(op)
+
+    /** Append the results of `row` to `out`; `nbrsOf` returns a pivot's
+      * sorted neighbour list (null or empty when it has none).
+      */
+    def apply(row: Array[Int], nbrsOf: Int => Array[Int], out: ArrayBuffer[Array[Int]]): Unit = {
+      val lists = new Array[Array[Int]](pivotCols.length)
+      var smallest: Array[Int] = null
+      var i = 0
+      while (i < pivotCols.length) {
+        val ns = nbrsOf(row(pivotCols(i)))
+        if (ns == null || ns.isEmpty) return
+        lists(i) = ns
+        if (smallest == null || ns.length < smallest.length) smallest = ns
+        i += 1
+      }
+      var cands = smallest
+      i = 0
+      while (i < lists.length && cands.nonEmpty) {
+        if (lists(i) ne smallest) cands = Intersect.sorted(cands, lists(i))
+        i += 1
+      }
+      if (op.verify) {
+        if (java.util.Arrays.binarySearch(cands, row(targetCol)) >= 0 && conds.ok(row)) out += row
+      } else {
+        i = 0
+        while (i < cands.length) {
+          val v = cands(i)
+          if (!bound(row, v)) {
+            val nr = java.util.Arrays.copyOf(row, row.length + 1)
+            nr(row.length) = v
+            if (conds.ok(nr)) out += nr
+          }
+          i += 1
+        }
+      }
+    }
+  }
+
+  /** PUSH-JOIN (§4.3) on one (left, right) row pair with equal join keys:
+    * the right side's extra vertices must differ from every left binding,
+    * and the join's conditions must hold. Returns the merged row, or null
+    * if the pair is infeasible.
     */
   final class PairJoin(j: PushJoin) {
     private val rExtraCols: Array[Int] = j.right.matched.zipWithIndex
       .collect { case (v, i) if !j.left.matched.contains(v) => i }.toArray
     private val width = j.matched.length
-    private val cc    = condCols(j)
+    private val conds = new Conds(j)
 
     def tryJoin(l: Array[Int], r: Array[Int]): Array[Int] = {
       val row = java.util.Arrays.copyOf(l, width)
       var i   = 0
       while (i < rExtraCols.length) {
         val v = r(rExtraCols(i))
-        var p = 0
-        while (p < l.length) { if (l(p) == v) return null; p += 1 }
+        if (bound(l, v)) return null
         row(l.length + i) = v
         i += 1
       }
-      if (condsOkFast(cc, row)) row else null
+      if (conds.ok(row)) row else null
     }
   }
 

@@ -18,8 +18,6 @@ final class PartitionedGraph(val g: DataGraph, val k: Int) {
     if (m < 0) m + k else m
   }
 
-  def isLocal(v: Int, machine: Int): Boolean = owner(v) == machine
-
   /** Adjacency of a vertex owned by `machine` (guarded local read). */
   def localNbrs(v: Int, machine: Int): Array[Int] = {
     require(owner(v) == machine, s"vertex $v not owned by machine $machine")

@@ -1,6 +1,7 @@
 package repro.engine
 
 import java.util.concurrent.{CountDownLatch, Executors, ThreadFactory}
+import java.util.concurrent.atomic.AtomicReference
 import scala.collection.mutable.ArrayBuffer
 
 /** Per-machine worker pool implementing intra-machine work stealing (§5.3).
@@ -26,6 +27,8 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
   /** Process `rows` in parallel: `process(row, out)` appends result rows to
     * the worker-local buffer `out`. Returns all output rows. The caller
     * thread blocks until every chunk is done (the stage barrier of §4.2).
+    * The first exception `process` throws stops the other workers and is
+    * rethrown here.
     */
   def run(rows: IndexedSeq[Array[Int]], chunkSize: Int,
           cancelled: () => Boolean = () => false)
@@ -42,7 +45,9 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
     for ((c, i) <- chunks.zipWithIndex)
       deques(i % nWorkers).addLast(c)
     val outs  = Array.fill(nWorkers)(new ArrayBuffer[Array[Int]]())
-    val latch = new CountDownLatch(nWorkers)
+    val latch   = new CountDownLatch(nWorkers)
+    val failure = new AtomicReference[Throwable]()
+    def stopped = failure.get != null || cancelled()
     for (w <- 0 until nWorkers) exec.execute { () =>
       val rng = java.util.concurrent.ThreadLocalRandom.current()
       try {
@@ -63,15 +68,18 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
                 deques(w).synchronized(stolen.foreach(deques(w).addLast))
               } else if (deques.forall(d => d.synchronized(d.isEmpty))) done = true
             } else if (deques.forall(d => d.synchronized(d.isEmpty))) done = true
-          } else if (!cancelled()) {
+          } else if (!stopped) {
             val out = outs(w)
             val it  = chunk.iterator
-            while (it.hasNext && !cancelled()) process(rows(it.next()), out)
+            while (it.hasNext && !stopped) process(rows(it.next()), out)
           } else done = true
         }
+      } catch {
+        case e: Throwable => failure.compareAndSet(null, e)
       } finally latch.countDown()
     }
     latch.await()
+    if (failure.get != null) throw failure.get
     val total = new ArrayBuffer[Array[Int]](outs.iterator.map(_.length).sum)
     outs.foreach(total ++= _)
     total

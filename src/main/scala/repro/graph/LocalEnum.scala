@@ -136,11 +136,4 @@ object Intersect {
     }
     out.result()
   }
-
-  /** Intersection of many sorted arrays (smallest first for speed). */
-  def sortedMany(arrays: Seq[Array[Int]]): Array[Int] = {
-    require(arrays.nonEmpty, "need at least one array")
-    val sortedBySize = arrays.sortBy(_.length)
-    sortedBySize.tail.foldLeft(sortedBySize.head)(sorted)
-  }
 }

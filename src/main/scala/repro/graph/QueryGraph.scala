@@ -80,10 +80,6 @@ final case class QueryGraph(n: Int, edges: Vector[(Int, Int)]) {
     conds.result()
   }
 
-  /** The subgraph induced by an edge subset (vertex ids preserved). */
-  def edgeSubgraph(mask: Set[(Int, Int)]): QueryGraph =
-    QueryGraph(n, edges.filter(mask))
-
   /** Connectivity restricted to the vertices touched by `es`. */
   def edgesConnected(es: Seq[(Int, Int)]): Boolean = {
     if (es.isEmpty) return false

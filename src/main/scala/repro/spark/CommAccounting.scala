@@ -47,7 +47,7 @@ object CommAccounting {
           .distinct()
         val pulled = needed.join(adj, needed("pv") === adj("vid"))
           .agg(coalesce(sum(lit(4) + lit(4) * size(col("nbrs"))), lit(0L)))
-          .head.getLong(0)
+          .head().getLong(0)
         acc += OpComm(s"PULL-EXTEND(${e.ext.mkString(",")}->${e.target})", 0L, pulled)
 
       case j: PushJoin =>

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core._
 
@@ -86,7 +86,7 @@ object SparkExecutor {
 
   def count(op: Op, edges: DataFrame, adj: DataFrame,
             scanSource: ScanEdge => DataFrame = null): Long =
-    countDf(op, edges, adj, scanSource).head.getLong(0)
+    countDf(op, edges, adj, scanSource).head().getLong(0)
 
   /** End-to-end: optimise q for the graph behind `edges`/`adj` and count
     * its subgraphs (symmetry-broken).

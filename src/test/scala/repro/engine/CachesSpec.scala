@@ -56,14 +56,14 @@ class CachesSpec extends AnyFunSuite {
   }
 
   test("LRU-Inf never evicts and updates recency on read") {
-    val c = new LruCache(Int.MaxValue)
+    val c = new LruCache(Int.MaxValue, twoStage = true)
     for (i <- 1 to 1000) c.insert(i, nb(i))
     assert(c.size == 1000)
     assert((1 to 1000).forall(c.contains))
   }
 
   test("Cncr-LRU is bounded and disables the two-stage protocol") {
-    val c = new ConcurrentLruCache(3)
+    val c = new LruCache(3, twoStage = false)
     assert(!c.twoStage)
     for (i <- 1 to 10) c.insert(i, nb(i))
     assert(c.size == 3)

@@ -3,6 +3,8 @@ package repro.engine
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.graph._
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 
 /** End-to-end correctness of the distributed engine: every configuration
   * (scheduling mode, cache design, communication mode, stealing, spilling)
@@ -158,6 +160,34 @@ class EngineSpec extends AnyFunSuite {
     val m   = hugeRun(Queries.q6, TestGraphs.pl, cfg)
     assert(m.results.get <= expected(Queries.q6, TestGraphs.pl))
   }
+
+  // --- failures -------------------------------------------------------------
+  test("a worker exception reaches the caller of WorkerPool.run") {
+    val pool = new WorkerPool(0, 2, new Metrics(1, NetworkModel()))
+    val rows = (0 until 1024).map(i => Array(i))
+    try {
+      val e = intercept[IllegalStateException] {
+        pool.run(rows, 16) { (row, out) =>
+          if (row(0) == 700) throw new IllegalStateException("boom")
+          out += row
+        }
+      }
+      assert(e.getMessage == "boom")
+    } finally pool.shutdown()
+  }
+
+  // Vertex 1's adjacency names vertex 99, outside the graph: extending the
+  // scanned edge (1, 99) reads N(99) and throws on that edge's machine. The
+  // bounded wait turns a hang of the peer machines into a failure.
+  for (k <- 1 to 3)
+    test(s"a machine-thread failure is thrown by Engine.run, not returned as a count (k=$k)") {
+      val g   = new DataGraph(Array(Array(1), Array(0, 99)))
+      val q   = Queries.triangle
+      val op  = Dataflow.fromPlan(LogicalPlans.bigJoin(q), q, q.symmetryConditions)
+      val run = Future(Engine.run(op, new PartitionedGraph(g, k), base(k)))(ExecutionContext.global)
+      val outcome = Await.ready(run, 60.seconds).value.get
+      assert(outcome.failed.toOption.exists(_.isInstanceOf[IndexOutOfBoundsException]), outcome)
+    }
 
   // --- metrics model --------------------------------------------------------
   test("metrics: T = T_R + T_C and summary formats") {

@@ -1,7 +1,9 @@
 package repro.graph
 
 import org.scalacheck.{Gen, Prop, Properties}
+import org.scalacheck.Prop.propBoolean
 import repro.core._
+import repro.engine._
 
 /** Property-based checks over random data graphs and random query graphs:
   * the whole plan/translate/execute pipeline agrees with the reference
@@ -55,6 +57,36 @@ object EnumProperties extends Properties("Enum") {
       val op = Dataflow.fromPlan(LogicalPlans.bigJoin(q), q, q.symmetryConditions)
       SimpleExec.count(op, g) == LocalEnum.countSubgraphs(q, g)
     }
+
+  /** A small engine configuration: few machines and workers, tiny batches
+    * and chunks (so the worker pool splits them), DFS/adaptive/BFS queues,
+    * every cache design, and a join spill threshold of 4 rows or the default.
+    */
+  val genEngineConfig: Gen[EngineConfig] = for {
+    machines <- Gen.choose(1, 3)
+    workers  <- Gen.choose(1, 2)
+    batch    <- Gen.choose(1, 64)
+    chunk    <- Gen.choose(1, 64)
+    queue    <- Gen.oneOf(1L, 64L, Long.MaxValue)
+    cache    <- Gen.oneOf("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf", "cncr-lru")
+    spill    <- Gen.oneOf(4, EngineConfig().spillThresholdRows)
+  } yield EngineConfig(machines = machines, workersPerMachine = workers, batchSize = batch,
+                       chunkSize = chunk, queueCapacityRows = queue, cacheKind = cache,
+                       spillThresholdRows = spill)
+
+  def engineMatchesReference(space: Int => OptimiserConfig): Prop =
+    Prop.forAll(genDataGraph, genQueryGraph, genEngineConfig) { (g, q, cfg) =>
+      val cost = CostModel.er(math.max(2, g.numVertices).toLong, math.max(1, g.numEdges))
+      val plan = Optimiser.optimise(q, cost, space(cfg.machines))
+      val m    = Engine.runPlan(plan, q, new PartitionedGraph(g, cfg.machines), cfg)
+      (m.results.get == LocalEnum.countSubgraphs(q, g)) :| s"$cfg"
+    }
+
+  property("engine equals reference count on random inputs and configs (HUGE space)") =
+    engineMatchesReference(OptimiserConfig.huge)
+
+  property("engine equals reference count on random inputs and configs (SEED space)") =
+    engineMatchesReference(OptimiserConfig.seed)
 
   property("sorted intersection equals set intersection") =
     Prop.forAll(Gen.listOf(Gen.choose(0, 50)), Gen.listOf(Gen.choose(0, 50))) { (a, b) =>

@@ -77,6 +77,5 @@ class LocalEnumSpec extends AnyFunSuite {
   test("intersection helpers") {
     assert(Intersect.sorted(Array(1, 3, 5, 7), Array(2, 3, 5, 8)).toSeq == Seq(3, 5))
     assert(Intersect.sorted(Array[Int](), Array(1)).isEmpty)
-    assert(Intersect.sortedMany(Seq(Array(1, 2, 3, 4), Array(2, 3, 4), Array(0, 2, 4))).toSeq == Seq(2, 4))
   }
 }
