@@ -1,5 +1,7 @@
 package repro.bench
 
+import repro.engine.CacheKind
+import repro.engine.CacheKind._
 import repro.tables.Table5
 
 /** Table 5 — the cache-design ablation: LRBU vs LRBU-Copy / LRBU-Lock /
@@ -11,9 +13,9 @@ import repro.tables.Table5
 class Table5Bench extends BenchBase {
 
   lazy val rows = Table5.run(timeLimitSec = 240.0)
-  def t(q: String, kind: String) =
+  def t(q: String, kind: CacheKind) =
     rows.find(r => r.query == q && r.kind == kind).get.seconds
-  def total(kind: String) = Seq("q1", "q2", "q3").map(t(_, kind)).sum
+  def total(kind: CacheKind) = Seq("q1", "q2", "q3").map(t(_, kind)).sum
 
   test("table 5: render and record") {
     record("table5", "Table 5: cache designs on LJ-lite, 4 machines x 3 workers",
@@ -27,21 +29,21 @@ class Table5Bench extends BenchBase {
   }
 
   test("table 5: LRBU beats the no-two-stage concurrent LRU in aggregate") {
-    assert(total("lrbu") < total("cncr-lru"),
-      s"lrbu=${total("lrbu")} cncr=${total("cncr-lru")}")
+    assert(total(Lrbu) < total(CncrLru),
+      s"lrbu=${total(Lrbu)} cncr=${total(CncrLru)}")
   }
 
   test("table 5: LRBU is the best design overall (5% tolerance)") {
-    for (kind <- Seq("lrbu-copy", "lrbu-lock", "lru-inf", "cncr-lru"))
-      assert(total("lrbu") < total(kind) * 1.05, s"lrbu not best vs $kind")
+    for (kind <- Seq(LrbuCopy, LrbuLock, LruInf, CncrLru))
+      assert(total(Lrbu) < total(kind) * 1.05, s"lrbu not best vs $kind")
   }
 
   test("table 5: locked designs trail the lock-free read path") {
-    assert(total("lrbu") < math.min(total("lrbu-lock"), total("lru-inf")) * 1.05)
+    assert(total(Lrbu) < math.min(total(LrbuLock), total(LruInf)) * 1.05)
   }
 
   test("table 5: the fetch stage (t_f) is a small fraction of runtime") {
-    for (r <- rows if r.kind == "lrbu")
+    for (r <- rows if r.kind == Lrbu)
       assert(r.fetchSeconds < 0.5 * r.seconds,
         s"${r.query}: t_f=${r.fetchSeconds} vs ${r.seconds}")
   }

@@ -46,23 +46,22 @@ object Systems {
       // (Bounded only by a very large queue: full materialisation.)
       base.copy(queueCapacityRows = 4_000_000, interStealing = false)
     case "BiGJoin" =>
-      // BFS with batching; partial results pushed at every extension.
-      base.copy(queueCapacityRows = 2_000_000, pushExtends = true,
-                interStealing = false)
+      // BFS with batching; its plan pushes partial results at every extension.
+      base.copy(queueCapacityRows = 2_000_000, interStealing = false)
     case "BENU" =>
       // DFS; external store on every access; local per-access cache.
       base.copy(queueCapacityRows = 1, externalStore = true,
-                cacheKind = "cncr-lru",
+                cacheKind = CacheKind.CncrLru,
                 cacheCapacityEntries = math.max(1, (0.3 * g.numVertices).toInt),
                 interStealing = false)
     case "RADS" =>
       // Region-group (BFS-flavoured) scheduling over pulled stars.
-      base.copy(queueCapacityRows = 16_000_000, cacheKind = "lrbu",
+      base.copy(queueCapacityRows = 16_000_000, cacheKind = CacheKind.Lrbu,
                 cacheCapacityEntries = math.max(1, (0.3 * g.numVertices).toInt),
                 interStealing = false)
     case "HUGE" =>
       // Adaptive scheduling, LRBU two-stage cache, stealing on.
-      base.copy(cacheKind = "lrbu",
+      base.copy(cacheKind = CacheKind.Lrbu,
                 cacheCapacityEntries = math.max(1, (0.3 * g.numVertices).toInt))
     case other => sys.error(s"unknown system $other")
   }

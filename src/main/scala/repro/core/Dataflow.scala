@@ -51,9 +51,14 @@ final case class ScanEdge(a: Int, b: Int, conds: Vector[(Int, Int)]) extends Op 
   *  - `verify = true`: `target` is already bound — keep the row iff its
   *    binding lies in the intersection (the §5.2 hint that "preserves f where
   *    f(v'_r) = u_{i+1}").
+  *
+  * `comm` is the communication mode of the plan join the extend came from:
+  * `Pulling` fetches remote neighbour lists to the row's machine, `Pushing`
+  * (BiGJoin's wco join) sends the row to each pivot's owner instead.
   */
 final case class PullExtend(input: Op, ext: Vector[Int], target: Int,
-                            verify: Boolean, conds: Vector[(Int, Int)]) extends Op {
+                            verify: Boolean, conds: Vector[(Int, Int)],
+                            comm: CommMode = CommMode.Pulling) extends Op {
   require(ext.nonEmpty && ext.forall(input.matched.contains),
     s"extend pivots $ext must be matched in ${input.matched}")
   require(verify == input.matched.contains(target),
@@ -104,7 +109,7 @@ object Dataflow {
       * per new leaf; handles the complete-star-join (wco) case where the root
       * itself is the new vertex.
       */
-    def pullStar(op0: Op, unit: SubQuery, root: Int): Op = {
+    def pullStar(op0: Op, unit: SubQuery, root: Int, comm: CommMode): Op = {
       var op      = op0
       val leaves  = unit.starLeaves(root)
       val matched = op.matched.toSet
@@ -114,10 +119,10 @@ object Dataflow {
         s"pulled star root $root unreachable from matched set $matched (Equation 3 violated)")
       if (v1.nonEmpty) {
         val verify = matched.contains(root)
-        op = PullExtend(op, v1, root, verify, take(op.matched.toSet + root))
+        op = PullExtend(op, v1, root, verify, take(op.matched.toSet + root), comm)
       }
       for (v <- v2)
-        op = PullExtend(op, Vector(root), v, verify = false, take(op.matched.toSet + v))
+        op = PullExtend(op, Vector(root), v, verify = false, take(op.matched.toSet + v), comm)
       op
     }
 
@@ -129,16 +134,15 @@ object Dataflow {
             // Star joins become PULL-EXTEND chains: a wco join is the
             // intersection extension regardless of its communication mode
             // (a *pushing* wco join — BiGJoin — moves the partial results
-            // instead of adjacency; the engine's pushExtends accounting
-            // covers that side). A pulling hash join is the §5.2 chain of
-            // verification + extension operators. Equation 3 designates the
-            // right side as the star.
+            // instead of adjacency; its extends carry `Pushing`). A pulling
+            // hash join is the §5.2 chain of verification + extension
+            // operators. Equation 3 designates the right side as the star.
             val unit = r.sub
             require(unit.isStar, s"star join requires a star right side: ${unit.edges}")
             val root =
               if (unit.starRoots.contains(setting.starRoot)) setting.starRoot
               else unit.starRoots.min
-            pullStar(compile(l), unit, root)
+            pullStar(compile(l), unit, root, setting.comm)
           case (JoinAlgo.Hash, CommMode.Pushing) =>
             val lo = compile(l); val ro = compile(r)
             PushJoin(lo, ro, take(lo.matched.toSet ++ ro.matched.toSet))
@@ -152,9 +156,4 @@ object Dataflow {
     require(op.matched.toSet == q.touchedVertices, "dataflow must bind every query vertex")
     op
   }
-
-  /** Dataflow for query q under HUGE's optimal plan. */
-  def forQuery(q: QueryGraph, cost: CostModel,
-               cfg: OptimiserConfig = OptimiserConfig()): Op =
-    fromPlan(Optimiser.optimise(q, cost, cfg), q, q.symmetryConditions)
 }

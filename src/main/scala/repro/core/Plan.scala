@@ -111,8 +111,6 @@ final case class JoinNode(sub: SubQuery, left: PlanNode, right: PlanNode,
   require(sub.edges == (left.sub.edges ++ right.sub.edges), "join must union its children")
   require((left.sub.edges & right.sub.edges).isEmpty, "children must be edge-disjoint")
   require((left.sub.vertices & right.sub.vertices).nonEmpty, "children must share a join key")
-
-  def joinKey: Set[Int] = left.sub.vertices & right.sub.vertices
 }
 
 object PlanNode {

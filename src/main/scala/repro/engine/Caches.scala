@@ -20,21 +20,31 @@ trait NbrCache {
   /** False for Cncr-LRU: the operator must fetch per access, not per batch. */
   def twoStage: Boolean = true
   def size: Int
+}
 
-  // Statistics (maintained by the operator, read by Metrics).
-  val hits   = new java.util.concurrent.atomic.AtomicLong
-  val misses = new java.util.concurrent.atomic.AtomicLong
+/** The Table 5 cache designs; each prints as its table label. */
+sealed abstract class CacheKind(label: String) { override def toString: String = label }
+
+object CacheKind {
+  case object Lrbu     extends CacheKind("lrbu")
+  case object LrbuCopy extends CacheKind("lrbu-copy")
+  case object LrbuLock extends CacheKind("lrbu-lock")
+  case object LruInf   extends CacheKind("lru-inf")
+  case object CncrLru  extends CacheKind("cncr-lru")
+
+  val all: Vector[CacheKind] = Vector(Lrbu, LrbuCopy, LrbuLock, LruInf, CncrLru)
 }
 
 object NbrCache {
+  import CacheKind._
+
   /** Factory for the Table 5 cache designs. */
-  def apply(kind: String, capacity: Int): NbrCache = kind match {
-    case "lrbu"      => new LrbuCache(capacity, copyOnGet = false, locked = false)
-    case "lrbu-copy" => new LrbuCache(capacity, copyOnGet = true,  locked = false)
-    case "lrbu-lock" => new LrbuCache(capacity, copyOnGet = true,  locked = true)
-    case "lru-inf"   => new LruCache(Int.MaxValue, twoStage = true)
-    case "cncr-lru"  => new LruCache(capacity, twoStage = false)
-    case other       => sys.error(s"unknown cache kind $other")
+  def apply(kind: CacheKind, capacity: Int): NbrCache = kind match {
+    case Lrbu     => new LrbuCache(capacity, copyOnGet = false, locked = false)
+    case LrbuCopy => new LrbuCache(capacity, copyOnGet = true,  locked = false)
+    case LrbuLock => new LrbuCache(capacity, copyOnGet = true,  locked = true)
+    case LruInf   => new LruCache(Int.MaxValue, twoStage = true)
+    case CncrLru  => new LruCache(capacity, twoStage = false)
   }
 }
 

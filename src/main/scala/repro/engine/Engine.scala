@@ -8,10 +8,11 @@ import scala.collection.mutable.ArrayBuffer
 /** Engine configuration — one per "system" (HUGE and every baseline run on
   * the same engine with different knobs, the paper's plug-in story).
   *
+  * Whether an extend pushes or pulls is its plan join's communication mode,
+  * carried by each [[PullExtend]].
+  *
   * @param queueCapacityRows fixed capacity of every operator output queue
   *        (Algorithm 5): small => DFS-style, huge => BFS-style scheduling
-  * @param pushExtends      BiGJoin-native: extends *push* the partial
-  *        results machine-to-machine instead of pulling adjacency
   * @param externalStore    BENU-native: all adjacency (even local) is read
   *        through an external KV store — per-access RPC + modelled latency
   * @param interStealing    inter-machine StealWork (§5.3)
@@ -21,9 +22,8 @@ final case class EngineConfig(
     workersPerMachine: Int = 2,
     batchSize: Int = 2048,
     queueCapacityRows: Long = 200_000,
-    cacheKind: String = "lrbu",
+    cacheKind: CacheKind = CacheKind.Lrbu,
     cacheCapacityEntries: Int = 50_000,
-    pushExtends: Boolean = false,
     externalStore: Boolean = false,
     spillThresholdRows: Int = 2_000_000,
     interStealing: Boolean = true,
@@ -64,8 +64,7 @@ final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
     var h = 17
     var i = 0
     while (i < cols.length) { h = h * 31 + row(cols(i)) * 0x9E3779B9; i += 1 }
-    val m = (h >>> 8) % cfg.machines
-    m
+    (h >>> 8) % cfg.machines
   }
 
   /** Key-aligned merge join over this machine's buckets. Fully streaming:
@@ -125,24 +124,17 @@ object Stages {
     * then the join's own chain) — §5.4's DAG of subgraphs.
     */
   def compile(root: Op, cfg: EngineConfig, metrics: Metrics): Vector[Stage] = {
-    def decompose(op: Op, sink: ChainSink): Vector[Stage] = {
-      var exts = List.empty[Kernels.Extend]
-      var cur  = op
-      while (cur.isInstanceOf[PullExtend]) {
-        val e = cur.asInstanceOf[PullExtend]
-        exts = new Kernels.Extend(e) :: exts
-        cur = e.input
-      }
-      (cur: @unchecked) match {
-        case s: ScanEdge => Vector(Stage(ScanSrc(new Kernels.Conds(s)), exts.toVector, sink))
-        case j: PushJoin =>
-          val spec = new JoinSpec(j, cfg, metrics)
-          decompose(j.left, JoinSink(spec, 0)) ++
-            decompose(j.right, JoinSink(spec, 1)) :+
-            Stage(JoinSrc(spec), exts.toVector, sink)
-      }
+    // `exts` collects the chain's extends above `op`, in execution order.
+    def decompose(op: Op, exts: List[Kernels.Extend], sink: ChainSink): Vector[Stage] = op match {
+      case e: PullExtend => decompose(e.input, new Kernels.Extend(e) :: exts, sink)
+      case s: ScanEdge   => Vector(Stage(ScanSrc(new Kernels.Conds(s)), exts.toVector, sink))
+      case j: PushJoin =>
+        val spec = new JoinSpec(j, cfg, metrics)
+        decompose(j.left, Nil, JoinSink(spec, 0)) ++
+          decompose(j.right, Nil, JoinSink(spec, 1)) :+
+          Stage(JoinSrc(spec), exts.toVector, sink)
     }
-    decompose(root, CountSink)
+    decompose(root, Nil, CountSink)
   }
 }
 
@@ -158,31 +150,31 @@ object Engine {
     val stages  = Stages.compile(dataflow, cfg, metrics)
     val k       = cfg.machines
 
-    val caches  = Array.fill(k)(NbrCache(cfg.cacheKind, cfg.cacheCapacityEntries))
-    val pools   = Array.tabulate(k)(m => new WorkerPool(m, cfg.workersPerMachine, metrics))
     val barrier = new CyclicBarrier(k)
     val failure = new AtomicReference[Throwable]()
     @volatile var aborted = false
     val deadline = if (cfg.timeLimitSec.isInfinity) Long.MaxValue
                    else System.nanoTime() + (cfg.timeLimitSec * 1e9).toLong
+    // The one stop predicate: a machine failed, or the deadline passed (the
+    // first check to see it marks the run as timed out).
+    val stopped: () => Boolean = () =>
+      aborted || (System.nanoTime() > deadline && { metrics.timedOut = true; aborted = true; true })
 
-    val boards = stages.map(s => new StageBoard(s, k))
+    val pools     = Array.tabulate(k)(m => new WorkerPool(m, cfg.workersPerMachine, metrics))
+    val extenders = pools.map(new Extender(_, pg, cfg, metrics, stopped))
+    val boards    = stages.map(new StageBoard(_, k))
 
     val t0 = System.nanoTime()
     val threads = new Array[Thread](k)
     for (m <- 0 until k) threads(m) = new Thread(() => {
       try {
-        for ((stage, si) <- stages.zipWithIndex) {
-          val board  = boards(si)
-          val runner = new MachineRunner(m, stage, board, pg, caches(m), pools(m),
-                                         cfg, metrics, () => aborted,
-                                         () => { aborted = true })
-          runner.deadlineNanos = deadline
+        for (board <- boards) {
+          val runner = new MachineRunner(m, board, pg, extenders(m), cfg, metrics, stopped)
           board.register(m, runner)
           barrier.await() // all runners registered
-          if (!aborted) runner.runStage()
+          if (!stopped()) runner.runStage()
           barrier.await() // stage complete everywhere
-          if (m == 0) stage.source match {
+          if (m == 0) board.stage.source match {
             case JoinSrc(spec) => spec.buffers.foreach(_.foreach(_.clear()))
             case _             =>
           }
@@ -202,10 +194,6 @@ object Engine {
     pools.foreach(_.shutdown())
     if (failure.get != null) throw failure.get
     metrics.measuredWallSec = (System.nanoTime() - t0) / 1e9
-    caches.foreach { c =>
-      metrics.cacheHits.addAndGet(c.hits.get)
-      metrics.cacheMisses.addAndGet(c.misses.get)
-    }
     metrics
   }
 
@@ -220,74 +208,83 @@ object Engine {
 /** Registry of the k runners of the current stage (for inter-machine
   * stealing and termination detection).
   */
-final class StageBoard(val stage: Stage, k: Int) {
+final class StageBoard(val stage: Stage, val k: Int) {
   private val runners = new Array[MachineRunner](k)
-  val idle            = Array.fill(k)(false)
+  private val idle    = new Array[Boolean](k)
   def register(m: Int, r: MachineRunner): Unit = runners(m) = r
   def apply(m: Int): MachineRunner = runners(m)
-  def allDone: Boolean = this.synchronized {
-    (0 until k).forall { m =>
-      idle(m) && runners(m) != null && runners(m).ownWorkExhausted
-    }
+
+  /** Mark machine m idle; true when every machine is idle with no own work
+    * left, i.e. the stage is done.
+    */
+  def markIdle(m: Int): Boolean = this.synchronized {
+    idle(m) = true
+    (0 until k).forall(i => idle(i) && runners(i) != null && runners(i).ownWorkExhausted)
   }
+
+  def markBusy(m: Int): Unit = this.synchronized { idle(m) = false }
 }
 
 /** One machine's execution of one stage: the Algorithm-5 scheduler walk,
-  * source generation, two-stage PULL-EXTENDs, sinks, and StealWork.
+  * source generation and sinks. PULL-EXTENDs run on the machine's
+  * [[Extender]]; an idle machine steals through [[StealWork]].
   */
-final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
-                          pg: PartitionedGraph, cache: NbrCache, pool: WorkerPool,
-                          cfg: EngineConfig, metrics: Metrics,
-                          isAborted: () => Boolean, abort: () => Unit) {
+final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, extender: Extender,
+                          cfg: EngineConfig, metrics: Metrics, stopped: () => Boolean) {
 
-  var deadlineNanos: Long = Long.MaxValue
-
-  private val e = stage.exts.length
+  private val stage = board.stage
+  private val e     = stage.exts.length
   val queues: Array[BatchQueue] =
     Array.fill(e)(new BatchQueue(cfg.queueCapacityRows, m, metrics))
 
-  // ---- source state -------------------------------------------------------
+  // ---- source -------------------------------------------------------------
   private var sourceDone = false
-  // Local vertices in multiplicative-hash order: with hub-first vertex ids
-  // (our generators place hubs at low ids) a sequential scan would start
-  // with the most expensive pivots; hashing spreads them evenly, which is
-  // what a random partition of a real graph looks like.
-  private val scanLocal: Array[Int] = stage.source match {
-    case ScanSrc(_) => pg.localVertices(m).toArray.sortBy(v => v * 0x9E3779B9)
-    case _          => Array.emptyIntArray
+  /** Append the source's next unit to a batch — one local vertex's scanned
+    * edges, or one join result row — or return false once it is exhausted.
+    */
+  private val nextSource: ArrayBuffer[Array[Int]] => Boolean = stage.source match {
+    case ScanSrc(conds) =>
+      // Local vertices in multiplicative-hash order: with hub-first vertex
+      // ids (our generators place hubs at low ids) a sequential scan would
+      // start with the most expensive pivots; hashing spreads them evenly,
+      // which is what a random partition of a real graph looks like.
+      val local = pg.localVertices(m).toArray.sortBy(v => v * 0x9E3779B9)
+      var next  = 0
+      batch => next < local.length && {
+        val u  = local(next)
+        val ns = pg.localNbrs(u, m)
+        var i  = 0
+        while (i < ns.length) {
+          val row = Array(u, ns(i))
+          if (conds.ok(row)) batch += row
+          i += 1
+        }
+        next += 1
+        true
+      }
+    case JoinSrc(spec) =>
+      lazy val rows = spec.resultIterator(m)
+      batch => rows.hasNext && { batch += rows.next(); true }
   }
-  private var scanVertexIdx = 0
-  private var scanNbrIdx    = 0
-  private var joinIter: Iterator[Array[Int]] = null
 
   def ownWorkExhausted: Boolean = sourceDone && queues.forall(_.isEmpty)
 
-  private def checkDeadline(): Unit =
-    if (System.nanoTime() > deadlineNanos) abort()
-
   // ---- Algorithm 5 --------------------------------------------------------
-  def runStage(): Unit = {
-    while (!isAborted()) {
-      val worked = runOwnWork()
-      if (!worked) {
-        val stole = cfg.interStealing && trySteal()
-        if (!stole) {
-          board.idle(m) = true
-          if (board.allDone) return
-          Thread.sleep(0, 200_000)
-          board.idle(m) = false
-        } else board.idle(m) = false
+  def runStage(): Unit =
+    while (!stopped()) {
+      if (!runOwnWork() && !(cfg.interStealing && StealWork(m, board, metrics)(pipelineFrom))) {
+        if (board.markIdle(m)) return
+        Thread.sleep(0, 200_000)
+        board.markBusy(m)
       }
     }
-  }
 
   /** The DFS/BFS-adaptive walk: returns true if any batch was processed. */
   private def runOwnWork(): Boolean = {
     var worked = false
     var p      = 0
     var done   = false
-    while (!done && !isAborted()) {
-      checkDeadline()
+    while (!done && !stopped()) {
       if (p == 0) {
         if (!sourceDone) { worked = generateSource() || worked }
         if (e == 0) done = true
@@ -296,11 +293,9 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
         val qi = p - 1
         if (queues(qi).isEmpty) {
           if ((0 until qi).exists(i => !queues(i).isEmpty) || !sourceDone) p -= 1
-          else {
-            (qi + 1 until e).find(i => !queues(i).isEmpty) match {
-              case Some(d) => p = d + 1
-              case None    => done = true
-            }
+          else (qi + 1 until e).find(i => !queues(i).isEmpty) match {
+            case Some(d) => p = d + 1
+            case None    => done = true
           }
         } else {
           worked = drainExtend(qi) || worked
@@ -315,22 +310,30 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
   private def drainExtend(qi: Int): Boolean = {
     var worked = false
     def outFull = qi + 1 < e && queues(qi + 1).isFull
-    while (!queues(qi).isEmpty && !outFull && !isAborted()) {
-      checkDeadline()
+    while (!queues(qi).isEmpty && !outFull && !stopped()) {
       val batch = queues(qi).tryDequeue()
       if (batch != null) {
         worked = true
-        processExtendBatch(stage.exts(qi), batch, out => emit(out, qi))
+        runExtend(qi, batch)(b => queues(qi + 1).enqueue(b))
       }
     }
     worked
   }
 
-  private def emit(rows: ArrayBuffer[Array[Int]], fromExt: Int): Unit = {
-    if (fromExt + 1 < e) {
-      rows.grouped(cfg.batchSize).foreach(g => queues(fromExt + 1).enqueue(g.toArray))
-    } else sinkRows(rows)
-  }
+  /** Extend qi over one batch. Its output goes on in batches to `next`, or
+    * after the last extend to the sink.
+    */
+  private def runExtend(qi: Int, batch: Array[Array[Int]])(next: Array[Array[Int]] => Unit): Unit =
+    extender(stage.exts(qi), batch, { out =>
+      if (qi + 1 < e) out.grouped(cfg.batchSize).foreach(g => next(g.toArray))
+      else sinkRows(out)
+    })
+
+  /** Depth-first local pipeline for stolen batches: run ops qi..e-1 with
+    * bounded sub-batches (no queues involved).
+    */
+  private def pipelineFrom(qi: Int, batch: Array[Array[Int]]): Unit =
+    if (!stopped()) runExtend(qi, batch)(pipelineFrom(qi + 1, _))
 
   private def sinkRows(rows: collection.Seq[Array[Int]]): Unit = stage.sink match {
     case CountSink => metrics.results.addAndGet(rows.length)
@@ -354,203 +357,11 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       if (e > 0) queues(0).enqueue(batch.toArray) else sinkRows(batch)
       batch.clear()
     }
-    stage.source match {
-      case ScanSrc(conds) =>
-        while (!sourceDone && !(e > 0 && queues(0).isFull) && !isAborted()) {
-          checkDeadline()
-          if (scanVertexIdx >= scanLocal.length) { sourceDone = true }
-          else {
-            val u  = scanLocal(scanVertexIdx)
-            val ns = pg.localNbrs(u, m)
-            var i  = scanNbrIdx
-            while (i < ns.length) {
-              val row = Array(u, ns(i))
-              if (conds.ok(row)) batch += row
-              i += 1
-            }
-            scanNbrIdx = 0
-            scanVertexIdx += 1
-            if (batch.length >= cfg.batchSize) flush()
-          }
-        }
-        flush()
-      case JoinSrc(spec) =>
-        if (joinIter == null) joinIter = spec.resultIterator(m)
-        while (joinIter.hasNext && !(e > 0 && queues(0).isFull) && !isAborted()) {
-          checkDeadline()
-          batch += joinIter.next()
-          if (batch.length >= cfg.batchSize) flush()
-        }
-        if (!joinIter.hasNext) sourceDone = true
-        flush()
+    while (!sourceDone && !(e > 0 && queues(0).isFull) && !stopped()) {
+      sourceDone = !nextSource(batch)
+      if (batch.length >= cfg.batchSize) flush()
     }
+    flush()
     worked
-  }
-
-  // ---- PULL-EXTEND (Algorithm 4) ------------------------------------------
-  /** Process one input batch, emitting bounded output chunks. The batch is
-    * first split so each sub-batch's *expected expansion* (sum over rows of
-    * the smallest pivot degree — an upper bound on the intersection size)
-    * stays bounded: one 20k-degree hub row can otherwise blow a 4096-row
-    * batch up to 10^8 output rows in a single burst, stalling the window
-    * and overflowing memory far beyond the queue bound.
-    */
-  def processExtendBatch(ex: Kernels.Extend, batch: Array[Array[Int]],
-                         emit: ArrayBuffer[Array[Int]] => Unit): Unit = {
-    val pivotCols    = ex.pivotCols
-    val maxExpansion = math.max(cfg.batchSize.toLong * 8, 32768L)
-    var start = 0
-    var acc   = 0L
-    var i     = 0
-    while (i < batch.length) {
-      var minDeg = Int.MaxValue
-      var pc = 0
-      while (pc < pivotCols.length) {
-        val d = pg.g.degree(batch(i)(pivotCols(pc))) // degree = graph metadata
-        if (d < minDeg) minDeg = d
-        pc += 1
-      }
-      acc += minDeg
-      i += 1
-      if (acc >= maxExpansion || i == batch.length) {
-        val sub = if (start == 0 && i == batch.length) batch
-                  else java.util.Arrays.copyOfRange(batch, start, i)
-        emit(processExtendSub(ex, sub))
-        start = i
-        acc = 0L
-      }
-    }
-  }
-
-  private def processExtendSub(ex: Kernels.Extend,
-                               batch: Array[Array[Int]]): ArrayBuffer[Array[Int]] = {
-    val pivotCols = ex.pivotCols
-    if (cfg.pushExtends) {
-      // BiGJoin-native: each partial result travels to the owner of every
-      // extension pivot in turn; the intersection itself is then local.
-      var b = 0
-      while (b < batch.length) {
-        val row  = batch(b)
-        var prev = m
-        var i    = 0
-        while (i < pivotCols.length) {
-          val o = pg.owner(row(pivotCols(i)))
-          if (o != prev) { metrics.bytesPushed.addAndGet(Kernels.rowBytes(row)); prev = o }
-          i += 1
-        }
-        b += 1
-      }
-      return intersectStage(ex, batch, v => pg.serveNbrs(v))
-    }
-
-    if (cache.twoStage) {
-      // ---- fetch stage (single writer: this scheduler thread) ----
-      val tf = System.nanoTime()
-      val remote = new Kernels.IntSet(batch.length)
-      var b = 0
-      while (b < batch.length) {
-        val row = batch(b)
-        var i = 0
-        while (i < pivotCols.length) {
-          val v = row(pivotCols(i))
-          if (cfg.externalStore || pg.owner(v) != m) remote.add(v)
-          i += 1
-        }
-        b += 1
-      }
-      val fetch = new ArrayBuffer[Int]()
-      remote.foreach { v =>
-        if (cache.contains(v)) { cache.seal(v); cache.hits.incrementAndGet() }
-        else fetch += v
-      }
-      cache.misses.addAndGet(fetch.length)
-      if (fetch.nonEmpty) {
-        if (cfg.externalStore) {
-          // One store access per vertex; the store round-trip latency is
-          // client-side overhead and is accounted as compute (kvAccesses),
-          // not as network RPC time — the paper's observation that BENU's
-          // store overhead inflates T_R, not T_C.
-          metrics.kvAccesses.addAndGet(fetch.length)
-        } else {
-          // Bulk GetNbrs: one RPC per distinct owner machine per batch.
-          metrics.rpcs.addAndGet(fetch.iterator.map(pg.owner).toSet.size)
-        }
-        for (v <- fetch) {
-          val ns = pg.serveNbrs(v)
-          metrics.bytesPulled.addAndGet(4L + 4L * ns.length)
-          cache.insert(v, ns)
-          cache.seal(v) // every vertex used by this batch stays resident
-        }
-      }
-      metrics.fetchNanos.addAndGet(System.nanoTime() - tf)
-
-      // ---- intersect stage (workers, lock-free reads) ----
-      val out = intersectStage(ex, batch, { v =>
-        if (!cfg.externalStore && pg.owner(v) == m) pg.localNbrs(v, m) else cache.get(v)
-      })
-      cache.release()
-      out
-    } else {
-      // Per-access mode (Cncr-LRU / BENU): fetch inside the intersection.
-      intersectStage(ex, batch, { v =>
-        if (!cfg.externalStore && pg.owner(v) == m) pg.localNbrs(v, m)
-        else {
-          var ns = cache.get(v)
-          if (ns != null) cache.hits.incrementAndGet()
-          else {
-            cache.misses.incrementAndGet()
-            ns = pg.serveNbrs(v)
-            metrics.bytesPulled.addAndGet(4L + 4L * ns.length)
-            if (cfg.externalStore) metrics.kvAccesses.incrementAndGet()
-            else metrics.rpcs.incrementAndGet()
-            cache.insert(v, ns)
-          }
-          ns
-        }
-      })
-    }
-  }
-
-  private def intersectStage(ex: Kernels.Extend, batch: Array[Array[Int]],
-                             nbrsOf: Int => Array[Int]): ArrayBuffer[Array[Int]] =
-    pool.run(scala.collection.immutable.ArraySeq.unsafeWrapArray(batch), cfg.chunkSize,
-             () => isAborted() || System.nanoTime() > deadlineNanos) { (row, out) =>
-      ex(row, nbrsOf, out)
-    }
-
-  // ---- inter-machine StealWork (§5.3) --------------------------------------
-  private def trySteal(): Boolean = {
-    val rng   = java.util.concurrent.ThreadLocalRandom.current()
-    val order = rng.ints(0, cfg.machines).distinct().limit(cfg.machines.toLong).toArray
-    for (victimId <- order if victimId != m) {
-      val victim = board(victimId)
-      if (victim != null) {
-        // Top-most unfinished operator: the earliest non-empty input queue.
-        var qi = 0
-        while (qi < victim.queues.length) {
-          val batch = victim.queues(qi).tryDequeue()
-          if (batch != null) {
-            metrics.stealsInter.incrementAndGet()
-            metrics.rpcs.incrementAndGet() // the StealWork RPC
-            metrics.stolenBytes.addAndGet(Kernels.batchBytes(batch))
-            pipelineFrom(qi, batch)
-            return true
-          }
-          qi += 1
-        }
-      }
-    }
-    false
-  }
-
-  /** Depth-first local pipeline for stolen batches: run ops qi..e-1 with
-    * bounded sub-batches (no queues involved).
-    */
-  def pipelineFrom(qi: Int, batch: Array[Array[Int]]): Unit = {
-    if (isAborted()) return
-    processExtendBatch(stage.exts(qi), batch, { out =>
-      if (qi + 1 < e) out.grouped(cfg.batchSize).foreach(g => pipelineFrom(qi + 1, g.toArray))
-      else sinkRows(out)
-    })
   }
 }

@@ -49,7 +49,7 @@ object Kernels {
     * conditions hold; otherwise the row is emitted once per candidate that
     * differs from every bound vertex and meets the conditions.
     */
-  final class Extend(op: PullExtend) {
+  final class Extend(val op: PullExtend) {
     val pivotCols: Array[Int] = op.ext.map(op.input.col).toArray
     private val targetCol     = if (op.verify) op.input.col(op.target) else -1
     private val conds         = new Conds(op)

@@ -59,6 +59,8 @@ final class Metrics(val k: Int, val net: NetworkModel = NetworkModel()) {
   def peakMemoryBytes: Long = memPeak.map(_.get).max
 
   var measuredWallSec: Double = 0.0
+  /** True when the time limit stopped the run: `results` is then partial. */
+  @volatile var timedOut: Boolean = false
   /** Extra compute time injected by models (e.g. kv-store latency). */
   def modelledComputeSec: Double = kvAccesses.get * net.kvAccessLatencySec
 

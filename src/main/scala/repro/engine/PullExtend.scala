@@ -1,0 +1,161 @@
+package repro.engine
+
+import repro.core.CommMode
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable.ArrayBuffer
+
+/** One machine's access to neighbour lists (§4.4): a vertex it owns is
+  * read from its partition; any other vertex (every vertex with BENU's
+  * external store) goes through its cache, and each miss is pulled and
+  * charged here.
+  */
+final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
+                      externalStore: Boolean, metrics: Metrics) {
+
+  private def isLocal(v: Int): Boolean = !externalStore && pg.owner(v) == m
+
+  /** GetNbrs for one vertex the cache lacks; the list is then cached. */
+  private def pull(v: Int): Array[Int] = {
+    val ns = pg.serveNbrs(v)
+    metrics.bytesPulled.addAndGet(4L + 4L * ns.length)
+    cache.insert(v, ns)
+    ns
+  }
+
+  /** A pull round of `missed` vertices held by `owners` machines: one bulk
+    * RPC per owner, or one store access per vertex. Store latency is
+    * client-side compute (kvAccesses), not RPC time — the paper's
+    * observation that BENU's store overhead inflates T_R, not T_C.
+    */
+  private def chargeRound(missed: Int, owners: Int): Unit = {
+    metrics.cacheMisses.addAndGet(missed)
+    if (externalStore) metrics.kvAccesses.addAndGet(missed)
+    else metrics.rpcs.addAndGet(owners)
+  }
+
+  /** The fetch stage of a two-stage cache (single writer: the machine's
+    * scheduler thread): make every remote pivot of `batch` resident and
+    * sealed. A per-access cache (Cncr-LRU) skips it and pulls in [[read]].
+    */
+  def fetch(batch: Array[Array[Int]], pivotCols: Array[Int]): Unit = if (cache.twoStage) {
+    val t0     = System.nanoTime()
+    val remote = new Kernels.IntSet(batch.length)
+    var b = 0
+    while (b < batch.length) {
+      val row = batch(b)
+      var i = 0
+      while (i < pivotCols.length) {
+        val v = row(pivotCols(i))
+        if (!isLocal(v)) remote.add(v)
+        i += 1
+      }
+      b += 1
+    }
+    val missed = new ArrayBuffer[Int]()
+    var hits   = 0L
+    remote.foreach { v =>
+      if (cache.contains(v)) { cache.seal(v); hits += 1 }
+      else missed += v
+    }
+    metrics.cacheHits.addAndGet(hits)
+    chargeRound(missed.length, missed.iterator.map(pg.owner).toSet.size)
+    for (v <- missed) {
+      pull(v)
+      cache.seal(v) // every vertex used by this batch stays resident
+    }
+    metrics.fetchNanos.addAndGet(System.nanoTime() - t0)
+  }
+
+  /** N(v) in the intersect stage, called by all workers. After [[fetch]] a
+    * two-stage cache is read lock-free; a per-access cache pulls each miss
+    * here, one round per vertex.
+    */
+  val read: Int => Array[Int] =
+    if (cache.twoStage) v => if (isLocal(v)) pg.localNbrs(v, m) else cache.get(v)
+    else v => if (isLocal(v)) pg.localNbrs(v, m) else cache.get(v) match {
+      case null => chargeRound(1, 1); pull(v)
+      case ns   => metrics.cacheHits.incrementAndGet(); ns
+    }
+
+  /** End of a batch: its sealed vertices become evictable again. */
+  def release(): Unit = cache.release()
+}
+
+/** PULL-EXTEND (Algorithm 4) on the machine of `pool`. A batch is split by
+  * expected expansion; each part then runs the fetch stage on the machine's
+  * [[Adjacency]] and the intersect stage on its [[WorkerPool]]. An extend
+  * whose plan join pushes (BiGJoin) instead charges each row's trip to its
+  * pivots' owners and intersects there.
+  */
+final class Extender(pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConfig,
+                     metrics: Metrics, stopped: () => Boolean) {
+
+  private val adj = new Adjacency(pool.machine, pg, NbrCache(cfg.cacheKind, cfg.cacheCapacityEntries),
+                                  cfg.externalStore, metrics)
+  private val maxExpansion = math.max(cfg.batchSize.toLong * 8, 32768L)
+
+  /** Process one input batch, emitting bounded output chunks. The batch is
+    * first split so each sub-batch's *expected expansion* (sum over rows of
+    * the smallest pivot degree — an upper bound on the intersection size)
+    * stays bounded: one 20k-degree hub row can otherwise blow a 4096-row
+    * batch up to 10^8 output rows in a single burst, stalling the window
+    * and overflowing memory far beyond the queue bound.
+    */
+  def apply(ex: Kernels.Extend, batch: Array[Array[Int]],
+            emit: ArrayBuffer[Array[Int]] => Unit): Unit = {
+    val pivotCols = ex.pivotCols
+    var start = 0
+    var acc   = 0L
+    var i     = 0
+    while (i < batch.length) {
+      var minDeg = Int.MaxValue
+      var pc = 0
+      while (pc < pivotCols.length) {
+        val d = pg.g.degree(batch(i)(pivotCols(pc))) // degree = graph metadata
+        if (d < minDeg) minDeg = d
+        pc += 1
+      }
+      acc += minDeg
+      i += 1
+      if (acc >= maxExpansion || i == batch.length) {
+        val sub = if (start == 0 && i == batch.length) batch
+                  else java.util.Arrays.copyOfRange(batch, start, i)
+        emit(extend(ex, sub))
+        start = i
+        acc = 0L
+      }
+    }
+  }
+
+  private def extend(ex: Kernels.Extend, batch: Array[Array[Int]]): ArrayBuffer[Array[Int]] =
+    ex.op.comm match {
+      case CommMode.Pulling =>
+        adj.fetch(batch, ex.pivotCols)
+        val out = intersect(ex, batch, adj.read)
+        adj.release()
+        out
+      case CommMode.Pushing =>
+        // Each partial result travels to the owner of every extension pivot
+        // in turn; the intersection itself is then local.
+        val pivotCols = ex.pivotCols
+        var b = 0
+        while (b < batch.length) {
+          val row  = batch(b)
+          var prev = pool.machine
+          var i    = 0
+          while (i < pivotCols.length) {
+            val o = pg.owner(row(pivotCols(i)))
+            if (o != prev) { metrics.bytesPushed.addAndGet(Kernels.rowBytes(row)); prev = o }
+            i += 1
+          }
+          b += 1
+        }
+        intersect(ex, batch, pg.serveNbrs)
+    }
+
+  private def intersect(ex: Kernels.Extend, batch: Array[Array[Int]],
+                        nbrsOf: Int => Array[Int]): ArrayBuffer[Array[Int]] =
+    pool.run(ArraySeq.unsafeWrapArray(batch), cfg.chunkSize, stopped) { (row, out) =>
+      ex(row, nbrsOf, out)
+    }
+}

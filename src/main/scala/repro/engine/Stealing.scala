@@ -51,22 +51,19 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
     for (w <- 0 until nWorkers) exec.execute { () =>
       val rng = java.util.concurrent.ThreadLocalRandom.current()
       try {
-        var chunk: Seq[Int] = null
         var done = false
         while (!done) {
-          chunk = deques(w).synchronized(deques(w).pollLast())
+          val chunk = deques(w).synchronized(deques(w).pollLast())
           if (chunk == null) {
-            // Steal half of a random victim's remaining chunks from the front.
-            val victim = rng.nextInt(nWorkers)
-            if (victim != w) {
-              val stolen = deques(victim).synchronized {
-                val half = (deques(victim).size + 1) / 2
-                (0 until half).flatMap(_ => Option(deques(victim).pollFirst()))
-              }
-              if (stolen.nonEmpty) {
-                metrics.stealsIntra.incrementAndGet()
-                deques(w).synchronized(stolen.foreach(deques(w).addLast))
-              } else if (deques.forall(d => d.synchronized(d.isEmpty))) done = true
+            // Steal half of a random victim's remaining chunks from the front
+            // (only the owner adds to a deque, so its own is empty here).
+            val victim = deques(rng.nextInt(nWorkers))
+            val stolen = victim.synchronized {
+              (0 until (victim.size + 1) / 2).flatMap(_ => Option(victim.pollFirst()))
+            }
+            if (stolen.nonEmpty) {
+              metrics.stealsIntra.incrementAndGet()
+              deques(w).synchronized(stolen.foreach(deques(w).addLast))
             } else if (deques.forall(d => d.synchronized(d.isEmpty))) done = true
           } else if (!stopped) {
             val out = outs(w)
@@ -114,5 +111,30 @@ final class BatchQueue(capacityRows0: Long, machine: Int, metrics: Metrics) {
 
   def isFull: Boolean  = this.synchronized(rowCount >= capacityRows)
   def isEmpty: Boolean = this.synchronized(q.isEmpty)
-  def rows: Long       = this.synchronized(rowCount)
+}
+
+/** Inter-machine StealWork (§5.3), the second stealing layer: an idle
+  * machine visits the others in random order and takes one batch from the
+  * first with queued work, at its top-most unfinished operator (earliest
+  * non-empty input queue). A steal is one RPC carrying the batch.
+  */
+object StealWork {
+  /** Run `process(qi, batch)` on one batch stolen from operator qi's input
+    * queue; false when no other machine had queued work.
+    */
+  def apply(thief: Int, board: StageBoard, metrics: Metrics)
+           (process: (Int, Array[Array[Int]]) => Unit): Boolean = {
+    val order  = java.util.concurrent.ThreadLocalRandom.current()
+      .ints(0, board.k).distinct().limit(board.k.toLong).toArray
+    val stolen = order.iterator.filter(_ != thief).map(board(_)).filter(_ != null)
+      .flatMap(v => v.queues.indices.iterator.map(qi => (qi, v.queues(qi).tryDequeue())))
+      .find(_._2 != null)
+    for ((qi, batch) <- stolen) {
+      metrics.stealsInter.incrementAndGet()
+      metrics.rpcs.incrementAndGet()
+      metrics.stolenBytes.addAndGet(Kernels.batchBytes(batch))
+      process(qi, batch)
+    }
+    stolen.isDefined
+  }
 }

@@ -44,7 +44,7 @@ object Table1 {
     // Warm the JIT on the extend/queue paths with a small graph first so the
     // first measured system is not penalised.
     Systems.run("HUGE", Queries.q1, Datasets("GO"), base.copy(timeLimitSec = 20.0))
-    val expected = Systems.names.map { name =>
+    Systems.names.map { name =>
       // The fast systems get two repetitions (min taken) to suppress JIT/GC
       // noise; BENU and RADS are slow enough that one run is stable.
       val reps = if (name == "BENU" || name == "RADS") 1 else 2
@@ -52,9 +52,8 @@ object Table1 {
         .minBy(_.totalTimeSec)
       Row(name, m.totalTimeSec, m.computeTimeSec, m.commTimeSec,
           m.commBytes, m.peakMemoryBytes, m.results.get,
-          completed = m.measuredWallSec < timeLimitSec * 0.98)
+          completed = !m.timedOut)
     }
-    expected.toVector
   }
 
   def render(rows: Seq[Row]): String = Fmt.render(
@@ -133,10 +132,8 @@ object Table4 {
     Engine.runPlan(Systems.plan("HUGE", Queries.q1, g, machines), Queries.q1,
       new PartitionedGraph(g, machines), cfgFor("HUGE", base).copy(timeLimitSec = 10.0))
     val rows = for ((qn, q) <- queries; sys <- systems) yield {
-      val pg = new PartitionedGraph(g, machines)
-      val m  = Engine.runPlan(Systems.plan(sys.takeWhile(_ != '-') match {
-        case "BiGJoin" => "BiGJoin"; case other => other
-      }, q, g, machines), q, pg, cfgFor(sys, base))
+      val m = Engine.runPlan(Systems.plan(sys.takeWhile(_ != '-'), q, g, machines), q,
+                             new PartitionedGraph(g, machines), cfgFor(sys, base))
       // Throughput over *modelled* total time (wall + communication model):
       // in-process, pushing partial results costs no wall time, so wall-only
       // throughput would credit the pushing baselines with a free network.
@@ -157,10 +154,8 @@ object Table4 {
   * t_f in brackets as in the paper).
   */
 object Table5 {
-  final case class Row(query: String, kind: String, seconds: Double,
+  final case class Row(query: String, kind: CacheKind, seconds: Double,
                        fetchSeconds: Double, results: Long)
-
-  val kinds: Seq[String] = Seq("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf", "cncr-lru")
 
   def run(dataset: String = "LJ", machines: Int = 4, workers: Int = 3,
           timeLimitSec: Double = 240.0, reps: Int = 3,
@@ -169,7 +164,7 @@ object Table5 {
     val g    = Datasets(dataset)
     val cost = CostModel.of(g)
     val pg   = new PartitionedGraph(g, machines)
-    def once(q: QueryGraph, kind: String, limit: Double): Metrics = {
+    def once(q: QueryGraph, kind: CacheKind, limit: Double): Metrics = {
       // Cache capacity covers the whole vertex set: the paper's capacity
       // (30% of UK) does not thrash its access set, so the ablation isolates
       // the *mechanism* (locks, copies, recency updates, per-access
@@ -182,9 +177,9 @@ object Table5 {
     }
     // Warm the JIT (cache + extend paths) before measuring; then take the
     // best of `reps` repetitions per cell to suppress GC/scheduling noise.
-    once(Queries.q1, "lrbu", 30.0)
-    once(Queries.q1, "cncr-lru", 30.0)
-    val rows = for ((qn, q) <- queries; kind <- kinds) yield {
+    once(Queries.q1, CacheKind.Lrbu, 30.0)
+    once(Queries.q1, CacheKind.CncrLru, 30.0)
+    val rows = for ((qn, q) <- queries; kind <- CacheKind.all) yield {
       val ms = (1 to reps).map(_ => once(q, kind, timeLimitSec))
       val m  = ms.minBy(_.measuredWallSec)
       Row(qn, kind, m.measuredWallSec, m.fetchNanos.get / 1e9, m.results.get)
@@ -194,8 +189,8 @@ object Table5 {
 
   def render(rows: Seq[Row]): String = Fmt.render(
     Seq("Query", "Cache", "time", "t_f", "results"),
-    rows.map(r => Seq(r.query, r.kind, Fmt.secs(r.seconds),
-      if (r.kind == "lrbu") Fmt.secs(r.fetchSeconds) else "-", r.results.toString)))
+    rows.map(r => Seq(r.query, r.kind.toString, Fmt.secs(r.seconds),
+      if (r.kind == CacheKind.Lrbu) Fmt.secs(r.fetchSeconds) else "-", r.results.toString)))
 }
 
 /** Table 6: execution-plan comparison on GO — the wco-only plan vs the
@@ -240,7 +235,7 @@ object Table6 {
           val pg = new PartitionedGraph(g, machines)
           val m  = Engine.runPlan(plan, q, pg, cfg)
           Row(qn, variant, m.totalTimeSec, m.commTimeSec, m.results.get,
-              completed = m.measuredWallSec < timeLimitSec * 0.98)
+              completed = !m.timedOut)
         })
         row.copy(variant = variant)
       }

@@ -51,7 +51,6 @@ class DataflowSpec extends AnyFunSuite {
     }
 
   test("ScanEdge emits both directions minus symmetry-broken half") {
-    val q  = QueryGraph(2, Seq((0, 1)))
     val g  = TestGraphs.pl
     val op = ScanEdge(0, 1, Vector.empty)
     assert(SimpleExec.count(op, g) == 2 * g.numEdges)
@@ -100,5 +99,16 @@ class DataflowSpec extends AnyFunSuite {
     val seq  = op.sequence
     assert(seq.last eq op)
     assert(seq.count(_.isInstanceOf[PushJoin]) == plan.joins.count(_.setting.comm == CommMode.Pushing))
+  }
+
+  test("each extend carries its plan join's communication mode") {
+    def comms(plan: PlanNode, q: QueryGraph): Set[CommMode] =
+      Dataflow.fromPlan(plan, q, q.symmetryConditions).sequence
+        .collect { case e: PullExtend => e.comm }.toSet
+    for (q <- Seq(Queries.q1, Queries.q3)) {
+      assert(comms(LogicalPlans.bigJoin(q), q) == Set(CommMode.Pushing))
+      assert(comms(LogicalPlans.benu(q), q) == Set(CommMode.Pulling))
+      assert(comms(Optimiser.optimise(q, cost, OptimiserConfig.huge(k)), q) == Set(CommMode.Pulling))
+    }
   }
 }

@@ -75,12 +75,15 @@ class CachesSpec extends AnyFunSuite {
   }
 
   test("cache factory builds every Table 5 variant") {
-    for (kind <- Seq("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf", "cncr-lru")) {
+    for (kind <- CacheKind.all) {
       val c = NbrCache(kind, 8)
       c.insert(1, nb(1))
       assert(c.get(1) != null, kind)
     }
-    intercept[RuntimeException] { NbrCache("bogus", 8) }
+  }
+
+  test("cache kinds print as their Table 5 labels") {
+    assert(CacheKind.all.map(_.toString) == Vector("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf", "cncr-lru"))
   }
 
   test("concurrent reads on LRBU during a sealed batch are consistent") {

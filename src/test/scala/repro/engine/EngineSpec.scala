@@ -72,7 +72,7 @@ class EngineSpec extends AnyFunSuite {
   }
 
   // --- cache designs --------------------------------------------------------
-  for (kind <- Seq("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf", "cncr-lru"))
+  for (kind <- CacheKind.all)
     test(s"cache design $kind is exact") {
       val cfg = base().copy(cacheKind = kind)
       assert(hugeRun(Queries.q1, TestGraphs.pl, cfg).results.get == expected(Queries.q1, TestGraphs.pl))
@@ -93,15 +93,14 @@ class EngineSpec extends AnyFunSuite {
     assert(solo.bytesPulled.get == 0, "one machine owns everything")
   }
 
-  test("pushExtends (BiGJoin-native) counts pushed bytes instead of pulls") {
-    val cfg = base().copy(pushExtends = true)
-    val m   = hugeRun(Queries.q1, TestGraphs.pl, cfg, LogicalPlans.bigJoin)
+  test("BiGJoin plan's pushing extends count pushed bytes instead of pulls") {
+    val m = hugeRun(Queries.q1, TestGraphs.pl, base(), LogicalPlans.bigJoin)
     assert(m.results.get == expected(Queries.q1, TestGraphs.pl))
     assert(m.bytesPushed.get > 0 && m.bytesPulled.get == 0)
   }
 
   test("externalStore (BENU-native) counts kv accesses") {
-    val cfg = base().copy(externalStore = true, cacheKind = "cncr-lru",
+    val cfg = base().copy(externalStore = true, cacheKind = CacheKind.CncrLru,
                           cacheCapacityEntries = 64, queueCapacityRows = 1)
     val m = hugeRun(Queries.q1, TestGraphs.pl, cfg, LogicalPlans.benu)
     assert(m.results.get == expected(Queries.q1, TestGraphs.pl))
@@ -154,11 +153,63 @@ class EngineSpec extends AnyFunSuite {
     assert(m.stealsIntra.get > 0, "4 workers on chunked batches must steal")
   }
 
+  // --- pinned accounting ----------------------------------------------------
+  // Exact counters of single-worker runs without inter-machine stealing, so
+  // the fetch, pull, push and store accounting cannot drift unnoticed.
+  val pinned: EngineConfig = base().copy(workersPerMachine = 1, interStealing = false)
+
+  def counters(m: Metrics): Map[String, Long] = Map(
+    "results" -> m.results.get, "rpcs" -> m.rpcs.get, "bytesPulled" -> m.bytesPulled.get,
+    "bytesPushed" -> m.bytesPushed.get, "hits" -> m.cacheHits.get,
+    "misses" -> m.cacheMisses.get, "kv" -> m.kvAccesses.get)
+
+  for (kind <- Seq(CacheKind.Lrbu, CacheKind.LruInf))
+    test(s"pinned counters: q3, $kind (two-stage fetch, one RPC per owner per batch)") {
+      assert(counters(hugeRun(Queries.q3, TestGraphs.pl, pinned.copy(cacheKind = kind))) == Map(
+        "results" -> 23L, "rpcs" -> 25L, "bytesPulled" -> 13564L, "bytesPushed" -> 0L,
+        "hits" -> 369L, "misses" -> 291L, "kv" -> 0L))
+    }
+
+  test("pinned counters: q3, cncr-lru (per-access pulls)") {
+    assert(counters(hugeRun(Queries.q3, TestGraphs.pl, pinned.copy(cacheKind = CacheKind.CncrLru))) == Map(
+      "results" -> 23L, "rpcs" -> 291L, "bytesPulled" -> 13564L, "bytesPushed" -> 0L,
+      "hits" -> 1596L, "misses" -> 291L, "kv" -> 0L))
+  }
+
+  test("pinned counters: q1, BiGJoin plan (pushing extends)") {
+    assert(counters(hugeRun(Queries.q1, TestGraphs.pl, pinned, LogicalPlans.bigJoin)) == Map(
+      "results" -> 2855L, "rpcs" -> 0L, "bytesPulled" -> 0L, "bytesPushed" -> 54816L,
+      "hits" -> 0L, "misses" -> 0L, "kv" -> 0L))
+  }
+
+  test("pinned counters: q1, BENU plan (external store, cncr-lru)") {
+    val cfg = pinned.copy(externalStore = true, cacheKind = CacheKind.CncrLru,
+                          cacheCapacityEntries = 64, queueCapacityRows = 1)
+    assert(counters(hugeRun(Queries.q1, TestGraphs.pl, cfg, LogicalPlans.benu)) == Map(
+      "results" -> 2855L, "rpcs" -> 0L, "bytesPulled" -> 222188L, "bytesPushed" -> 0L,
+      "hits" -> 7874L, "misses" -> 5798L, "kv" -> 5798L))
+  }
+
+  // --- termination under stealing --------------------------------------------
+  // DFS queues, tiny batches and chunks, and inter-machine stealing on: many
+  // steals per run, so a termination race shows as a wrong count or a hang.
+  for ((qn, q) <- Seq("q1" -> Queries.q1, "q2" -> Queries.q2))
+    test(s"stealing-heavy runs terminate with the exact count: $qn x 30") {
+      val cfg  = EngineConfig(machines = 4, workersPerMachine = 2, batchSize = 8, chunkSize = 4,
+                              queueCapacityRows = 1, cacheCapacityEntries = 128, interStealing = true)
+      val want = expected(q, TestGraphs.pl)
+      val runs = Future((1 to 30).map(_ => hugeRun(q, TestGraphs.pl, cfg)))(ExecutionContext.global)
+      val ms   = Await.result(runs, 60.seconds)
+      assert(ms.map(_.results.get).forall(_ == want), ms.map(_.results.get))
+      assert(ms.map(_.stealsInter.get).sum > 0, "the runs must steal between machines")
+    }
+
   // --- time limit -----------------------------------------------------------
   test("time-limited run terminates early with partial results") {
     val cfg = base().copy(timeLimitSec = 0.0)
     val m   = hugeRun(Queries.q6, TestGraphs.pl, cfg)
     assert(m.results.get <= expected(Queries.q6, TestGraphs.pl))
+    assert(m.timedOut, "a partial count must be marked")
   }
 
   // --- failures -------------------------------------------------------------
@@ -195,5 +246,6 @@ class EngineSpec extends AnyFunSuite {
     assert(math.abs(m.totalTimeSec - (m.computeTimeSec + m.commTimeSec)) < 1e-9)
     assert(m.summary.contains("T="))
     assert(m.peakMemoryBytes > 0)
+    assert(!m.timedOut)
   }
 }

@@ -60,7 +60,8 @@ object EnumProperties extends Properties("Enum") {
 
   /** A small engine configuration: few machines and workers, tiny batches
     * and chunks (so the worker pool splits them), DFS/adaptive/BFS queues,
-    * every cache design, and a join spill threshold of 4 rows or the default.
+    * every cache design, a join spill threshold of 4 rows or the default,
+    * and the external store and inter-machine stealing each on or off.
     */
   val genEngineConfig: Gen[EngineConfig] = for {
     machines <- Gen.choose(1, 3)
@@ -68,25 +69,35 @@ object EnumProperties extends Properties("Enum") {
     batch    <- Gen.choose(1, 64)
     chunk    <- Gen.choose(1, 64)
     queue    <- Gen.oneOf(1L, 64L, Long.MaxValue)
-    cache    <- Gen.oneOf("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf", "cncr-lru")
+    cache    <- Gen.oneOf(CacheKind.all)
     spill    <- Gen.oneOf(4, EngineConfig().spillThresholdRows)
+    external <- Gen.oneOf(false, true)
+    steal    <- Gen.oneOf(false, true)
   } yield EngineConfig(machines = machines, workersPerMachine = workers, batchSize = batch,
                        chunkSize = chunk, queueCapacityRows = queue, cacheKind = cache,
-                       spillThresholdRows = spill)
+                       spillThresholdRows = spill, externalStore = external,
+                       interStealing = steal)
 
-  def engineMatchesReference(space: Int => OptimiserConfig): Prop =
+  def engineMatchesReference(planFor: (QueryGraph, DataGraph, Int) => PlanNode): Prop =
     Prop.forAll(genDataGraph, genQueryGraph, genEngineConfig) { (g, q, cfg) =>
-      val cost = CostModel.er(math.max(2, g.numVertices).toLong, math.max(1, g.numEdges))
-      val plan = Optimiser.optimise(q, cost, space(cfg.machines))
+      val plan = planFor(q, g, cfg.machines)
       val m    = Engine.runPlan(plan, q, new PartitionedGraph(g, cfg.machines), cfg)
       (m.results.get == LocalEnum.countSubgraphs(q, g)) :| s"$cfg"
     }
 
+  def optimised(space: Int => OptimiserConfig)(q: QueryGraph, g: DataGraph, k: Int): PlanNode = {
+    val cost = CostModel.er(math.max(2, g.numVertices).toLong, math.max(1, g.numEdges))
+    Optimiser.optimise(q, cost, space(k))
+  }
+
   property("engine equals reference count on random inputs and configs (HUGE space)") =
-    engineMatchesReference(OptimiserConfig.huge)
+    engineMatchesReference(optimised(OptimiserConfig.huge))
 
   property("engine equals reference count on random inputs and configs (SEED space)") =
-    engineMatchesReference(OptimiserConfig.seed)
+    engineMatchesReference(optimised(OptimiserConfig.seed))
+
+  property("engine equals reference count on random inputs and configs (BiGJoin plan)") =
+    engineMatchesReference((q, _, _) => LogicalPlans.bigJoin(q))
 
   property("sorted intersection equals set intersection") =
     Prop.forAll(Gen.listOf(Gen.choose(0, 50)), Gen.listOf(Gen.choose(0, 50))) { (a, b) =>

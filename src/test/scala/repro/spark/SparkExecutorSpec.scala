@@ -8,8 +8,6 @@ import repro.graph._
   * and the DuckDB oracle.
   */
 class SparkExecutorSpec extends SparkSpec {
-  import spark.implicits._
-
   lazy val cost = CostModel.of(TestGraphs.pl)
   lazy val plEdges = GraphDF.edges(spark, TestGraphs.pl).cache()
   lazy val plAdj   = GraphDF.adjacency(spark, TestGraphs.pl).cache()
