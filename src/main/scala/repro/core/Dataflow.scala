@@ -15,11 +15,14 @@ import repro.graph.QueryGraph
   *  - `matched`: the query vertices bound after the operator, in column order
   *    (each engine represents a partial result as a row in this order);
   *  - `conds`: the symmetry-breaking conditions (a < b) this operator must
-  *    enforce (assigned to the first operator where both ends are bound).
+  *    enforce (assigned to the first operator where both ends are bound);
+  *  - `distinctPairs`: the injectivity pairs (a, b) whose data vertices must
+  *    differ, each at the first operator that can check it.
   */
 sealed trait Op {
   def matched: Vector[Int]
   def conds: Vector[(Int, Int)]
+  def distinctPairs: Vector[(Int, Int)]
   /** Query edges guaranteed matched after this operator. */
   def covered: Set[(Int, Int)]
   def col(v: Int): Int = {
@@ -41,6 +44,7 @@ sealed trait Op {
 final case class ScanEdge(a: Int, b: Int, conds: Vector[(Int, Int)]) extends Op {
   val matched: Vector[Int]      = Vector(a, b)
   val covered: Set[(Int, Int)]  = Set((a min b, a max b))
+  val distinctPairs: Vector[(Int, Int)] = Vector.empty // a data edge never loops
 }
 
 /** PULL-EXTEND (Algorithm 4): for each input row, intersect the neighbour
@@ -67,6 +71,8 @@ final case class PullExtend(input: Op, ext: Vector[Int], target: Int,
   val matched: Vector[Int] = if (verify) input.matched else input.matched :+ target
   val covered: Set[(Int, Int)] =
     input.covered ++ ext.map(p => (p min target, p max target))
+  val distinctPairs: Vector[(Int, Int)] =
+    if (verify) Vector.empty else input.matched.map(_ -> target)
 }
 
 /** PUSH-JOIN (§4.3): hash join of two sub-dataflows on their shared matched
@@ -78,6 +84,9 @@ final case class PushJoin(left: Op, right: Op, conds: Vector[(Int, Int)]) extend
 
   val matched: Vector[Int]     = left.matched ++ right.matched.filterNot(left.matched.contains)
   val covered: Set[(Int, Int)] = left.covered ++ right.covered
+  /** Each side is injective already: only left-only × right-only is new. */
+  val distinctPairs: Vector[(Int, Int)] =
+    for (a <- left.matched.diff(key); b <- right.matched.diff(left.matched)) yield (a, b)
 }
 
 object Dataflow {

@@ -92,10 +92,6 @@ sealed trait PlanNode {
     case UnitScan(_)              => Vector.empty
     case j @ JoinNode(_, l, r, _) => l.joins ++ r.joins :+ j
   }
-  def depth: Int = this match {
-    case UnitScan(_)          => 1
-    case JoinNode(_, l, r, _) => 1 + math.max(l.depth, r.depth)
-  }
   /** Left-deep: every right child is a unit. */
   def isLeftDeep: Boolean = joins.forall(_.right.isInstanceOf[UnitScan])
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.engine.Kernels
+import repro.engine.{EngineConfig, JoinSpec, Kernels, Metrics}
 import repro.graph.DataGraph
 import scala.collection.mutable.ArrayBuffer
 
@@ -9,8 +9,9 @@ import scala.collection.mutable.ArrayBuffer
   * Used to validate plans/dataflows independently of the distributed
   * engines: a sequential traversal without partitioning, caches, queues or
   * stealing. The row semantics of every operator come from
-  * [[repro.engine.Kernels]], the same kernels the engine runs. Rows are
-  * arrays of data-vertex ids in `op.matched` column order.
+  * [[repro.engine.Kernels]], the same kernels the engine runs, and a
+  * PUSH-JOIN is the engine's own [[repro.engine.JoinSpec]] on one machine.
+  * Rows are arrays of data-vertex ids in `op.matched` column order.
   */
 object SimpleExec {
 
@@ -18,12 +19,6 @@ object SimpleExec {
     var c = 0L
     foreach(op, g)(_ => c += 1)
     c
-  }
-
-  def run(op: Op, g: DataGraph): Vector[Array[Int]] = {
-    val out = Vector.newBuilder[Array[Int]]
-    foreach(op, g)(r => out += r.clone())
-    out.result()
   }
 
   def foreach(op: Op, g: DataGraph)(f: Array[Int] => Unit): Unit = op match {
@@ -44,20 +39,11 @@ object SimpleExec {
       }
 
     case j: PushJoin =>
-      // Build side = left; probe side = right (tests run on tiny graphs).
-      val lKeyCols = j.key.map(j.left.col).toArray
-      val rKeyCols = j.key.map(j.right.col).toArray
-      val pairs    = new Kernels.PairJoin(j)
-      val built    = collection.mutable.Map.empty[Vector[Int], List[Array[Int]]]
-      foreach(j.left, g) { l =>
-        val k = lKeyCols.map(l).toVector
-        built(k) = l.clone() :: built.getOrElse(k, Nil)
-      }
-      foreach(j.right, g) { r =>
-        for (l <- built.getOrElse(rKeyCols.map(r).toVector, Nil)) {
-          val row = pairs.tryJoin(l, r)
-          if (row != null) f(row)
-        }
-      }
+      val spec = new JoinSpec(j, EngineConfig(machines = 1), new Metrics(1))
+      try {
+        foreach(j.left, g)(spec.push(0, 0, _))
+        foreach(j.right, g)(spec.push(0, 1, _))
+        spec.resultIterator(0).foreach(f)
+      } finally spec.clear()
   }
 }

@@ -47,78 +47,6 @@ final case class JoinSink(spec: JoinSpec, side: Int)  extends ChainSink
 
 final case class Stage(source: ChainSource, exts: Vector[Kernels.Extend], sink: ChainSink)
 
-/** Shared state of one PUSH-JOIN: per-machine, per-side spill buffers. */
-final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
-  val leftKeyCols: Array[Int]  = op.key.map(op.left.col).toArray
-  val rightKeyCols: Array[Int] = op.key.map(op.right.col).toArray
-  private val pairs            = new Kernels.PairJoin(op)
-  val buffers: Array[Array[JoinSideBuffer]] = Array.tabulate(cfg.machines, 2) { (m, side) =>
-    val width = if (side == 0) op.left.matched.length else op.right.matched.length
-    val keys  = if (side == 0) leftKeyCols else rightKeyCols
-    new JoinSideBuffer(width, keys, cfg.spillThresholdRows, m, metrics)
-  }
-
-  /** Machine owning a row's join-key bucket. */
-  def route(row: Array[Int], side: Int): Int = {
-    val cols = if (side == 0) leftKeyCols else rightKeyCols
-    var h = 17
-    var i = 0
-    while (i < cols.length) { h = h * 31 + row(cols(i)) * 0x9E3779B9; i += 1 }
-    (h >>> 8) % cfg.machines
-  }
-
-  /** Key-aligned merge join over this machine's buckets. Fully streaming:
-    * key groups are loaded (bounded by the largest group) but the
-    * cross-product of a group is emitted row-by-row, never materialised.
-    */
-  def resultIterator(m: Int): Iterator[Array[Int]] = {
-    val li = buffers(m)(0).sortedIterator().buffered
-    val ri = buffers(m)(1).sortedIterator().buffered
-    new Iterator[Array[Int]] {
-      private val lg = new ArrayBuffer[Array[Int]]()
-      private val rg = new ArrayBuffer[Array[Int]]()
-      private var i = 0; private var j = 0
-      private var nextRow: Array[Int] = advance()
-
-      private def loadGroups(): Boolean = {
-        lg.clear(); rg.clear(); i = 0; j = 0
-        while (li.hasNext && ri.hasNext) {
-          val c = Kernels.compareKeys(li.head, leftKeyCols, ri.head, rightKeyCols)
-          if (c < 0) li.next()
-          else if (c > 0) ri.next()
-          else {
-            val keyRow = li.head
-            while (li.hasNext && Kernels.compareKeys(li.head, leftKeyCols, keyRow, leftKeyCols) == 0)
-              lg += li.next()
-            while (ri.hasNext && Kernels.compareKeys(ri.head, rightKeyCols, keyRow, leftKeyCols) == 0)
-              rg += ri.next()
-            return true
-          }
-        }
-        false
-      }
-
-      private def advance(): Array[Int] = {
-        while (true) {
-          while (i < lg.length) {
-            while (j < rg.length) {
-              val row = pairs.tryJoin(lg(i), rg(j))
-              j += 1
-              if (row != null) return row
-            }
-            j = 0; i += 1
-          }
-          if (!loadGroups()) return null
-        }
-        null // unreachable
-      }
-
-      def hasNext: Boolean = nextRow != null
-      def next(): Array[Int] = { val r = nextRow; nextRow = advance(); r }
-    }
-  }
-}
-
 object Stages {
   /** Cut the operator tree at PUSH-JOINs; topological order (left, right,
     * then the join's own chain) — §5.4's DAG of subgraphs.
@@ -173,12 +101,10 @@ object Engine {
           board.register(m, runner)
           barrier.await() // all runners registered
           if (!stopped()) runner.runStage()
+          // Every source is exhausted or the run is stopping, so this
+          // machine's join buckets have no reader left.
+          board.stage.source match { case JoinSrc(spec) => spec.clear(m); case _ => }
           barrier.await() // stage complete everywhere
-          if (m == 0) board.stage.source match {
-            case JoinSrc(spec) => spec.buffers.foreach(_.foreach(_.clear()))
-            case _             =>
-          }
-          barrier.await()
         }
       } catch {
         // The first failure stops the run; the peers it interrupts leave
@@ -189,9 +115,11 @@ object Engine {
             threads.foreach(t => if (t ne Thread.currentThread()) t.interrupt())
       }
     }, s"machine-$m")
-    threads.foreach(_.start())
-    threads.foreach(_.join())
-    pools.foreach(_.shutdown())
+    try { threads.foreach(_.start()); threads.foreach(_.join()) }
+    finally { // spill runs go on every path: completion, timeout and failure
+      pools.foreach(_.shutdown())
+      stages.foreach(_.source match { case JoinSrc(spec) => spec.clear(); case _ => })
+    }
     if (failure.get != null) throw failure.get
     metrics.measuredWallSec = (System.nanoTime() - t0) / 1e9
     metrics
@@ -199,10 +127,8 @@ object Engine {
 
   /** Convenience: build the dataflow for q under `plan` and run it. */
   def runPlan(plan: PlanNode, q: repro.graph.QueryGraph, pg: PartitionedGraph,
-              cfg: EngineConfig, symmetry: Boolean = true): Metrics = {
-    val conds = if (symmetry) q.symmetryConditions else Vector.empty
-    run(Dataflow.fromPlan(plan, q, conds), pg, cfg)
-  }
+              cfg: EngineConfig): Metrics =
+    run(Dataflow.fromPlan(plan, q, q.symmetryConditions), pg, cfg)
 }
 
 /** Registry of the k runners of the current stage (for inter-machine
@@ -336,13 +262,8 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
     if (!stopped()) runExtend(qi, batch)(pipelineFrom(qi + 1, _))
 
   private def sinkRows(rows: collection.Seq[Array[Int]]): Unit = stage.sink match {
-    case CountSink => metrics.results.addAndGet(rows.length)
-    case JoinSink(spec, side) =>
-      for (row <- rows) {
-        val t = spec.route(row, side)
-        if (t != m) metrics.bytesPushed.addAndGet(Kernels.rowBytes(row))
-        spec.buffers(t)(side).add(row)
-      }
+    case CountSink            => metrics.results.addAndGet(rows.length)
+    case JoinSink(spec, side) => rows.foreach(spec.push(m, side, _))
   }
 
   // ---- sources ------------------------------------------------------------

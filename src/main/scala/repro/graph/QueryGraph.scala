@@ -41,15 +41,6 @@ final case class QueryGraph(n: Int, edges: Vector[(Int, Int)]) {
     seen.size == n
   }
 
-  /** A star is a tree of depth 1: one root connected to every other vertex,
-    * and no leaf–leaf edges. A single edge is a 1-star (either end roots it).
-    */
-  def isStar: Boolean = starRoot.isDefined
-
-  /** Root of this graph seen as a star (smallest-id root if several). */
-  def starRoot: Option[Int] =
-    (0 until n).find(r => degree(r) == n - 1 && edges.size == n - 1)
-
   /** All automorphisms (vertex permutations preserving edges), brute force. */
   lazy val automorphisms: Vector[Vector[Int]] = {
     val es = edges.toSet

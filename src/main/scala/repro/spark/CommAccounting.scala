@@ -14,7 +14,8 @@ import repro.core._
   * vertex; a pushing hash join shuffles both input relations (a (k-1)/k
   * fraction crosses machines); a PULL-EXTEND pulls, per machine, the
   * adjacency lists of the *distinct* remote pivot vertices it needs
-  * (cache-less upper bound, and never more than k·|E_G|).
+  * (cache-less upper bound, and never more than k·|E_G|); a pushing one
+  * (BiGJoin) moves each input row once per change of owner along its pivots.
   */
 object CommAccounting {
 
@@ -29,6 +30,8 @@ object CommAccounting {
   private def owner(c: Column, k: Int): Column =
     pmod(shiftright(pmod(c.cast("long") * lit(0x9E3779B9L), lit(4294967296L)), 16), lit(k.toLong))
 
+  private def extendName(e: PullExtend): String = s"PULL-EXTEND(${e.ext.mkString(",")}->${e.target})"
+
   def measure(op: Op, edges: DataFrame, adj: DataFrame, k: Int): Vector[OpComm] = {
     val acc = Vector.newBuilder[OpComm]
 
@@ -36,6 +39,14 @@ object CommAccounting {
 
     def rec(o: Op): Unit = o match {
       case _: ScanEdge => // local by construction
+
+      case e: PullExtend if e.comm == CommMode.Pushing =>
+        rec(e.input)
+        val owners = (anchor(e.input) +: e.ext).map(v => owner(col(vcol(v)), k))
+        val trips  = owners.zip(owners.tail).map { case (a, b) => when(a =!= b, 1L).otherwise(0L) }
+        val rowTrips = SparkExecutor.compile(e.input, edges, adj)
+          .agg(coalesce(sum(trips.reduce(_ + _)), lit(0L))).head().getLong(0)
+        acc += OpComm(extendName(e), 4L * e.input.matched.length * rowTrips, 0L)
 
       case e: PullExtend =>
         rec(e.input)
@@ -48,7 +59,7 @@ object CommAccounting {
         val pulled = needed.join(adj, needed("pv") === adj("vid"))
           .agg(coalesce(sum(lit(4) + lit(4) * size(col("nbrs"))), lit(0L)))
           .head().getLong(0)
-        acc += OpComm(s"PULL-EXTEND(${e.ext.mkString(",")}->${e.target})", 0L, pulled)
+        acc += OpComm(extendName(e), 0L, pulled)
 
       case j: PushJoin =>
         rec(j.left); rec(j.right)

@@ -28,54 +28,45 @@ object SparkExecutor {
   private def condFilters(op: Op): Seq[Column] =
     op.conds.map { case (a, b) => col(vcol(a)) < col(vcol(b)) }
 
+  private def distinctFilters(op: Op): Seq[Column] =
+    op.distinctPairs.map { case (a, b) => col(vcol(a)) =!= col(vcol(b)) }
+
   /** Compile the op tree over the given edge/adjacency tables.
     * `scanSource` overrides the edge table of individual SCAN operators
     * (used by [[BatchedRunner]] to admit one pivot batch at a time).
     */
   def compile(op: Op, edges: DataFrame, adj: DataFrame,
-              scanSource: ScanEdge => DataFrame = null): DataFrame = op match {
-    case s @ ScanEdge(a, b, _) =>
-      val src = if (scanSource == null) edges else scanSource(s)
-      val df  = src.select(col("src").as(vcol(a)), col("dst").as(vcol(b)))
-      condFilters(s).foldLeft(df)(_ where _)
+              scanSource: ScanEdge => DataFrame = null): DataFrame = {
+    val df = op match {
+      case s @ ScanEdge(a, b, _) =>
+        val src = if (scanSource == null) edges else scanSource(s)
+        src.select(col("src").as(vcol(a)), col("dst").as(vcol(b)))
 
-    case e: PullExtend =>
-      val in = compile(e.input, edges, adj, scanSource)
-      // One adjacency join per extension pivot.
-      var df = in
-      val nbrCols = e.ext.map { d =>
-        val id  = aliasCounter.incrementAndGet()
-        val key = s"_vid$id"; val nb = s"_nbrs$id"
-        val a   = adj.select(col("vid").as(key), col("nbrs").as(nb))
-        df = df.join(a, df(vcol(d)) === a(key)).drop(key)
-        nb
-      }
-      if (e.verify) {
-        val t  = col(vcol(e.target))
-        val ok = nbrCols.map(nb => array_contains(col(nb), t)).reduce(_ && _)
-        val flt = condFilters(e).foldLeft(df.where(ok))(_ where _)
-        flt.drop(nbrCols: _*)
-      } else {
-        val cands =
-          if (nbrCols.size == 1) col(nbrCols.head)
-          else nbrCols.map(col).reduce(array_intersect)
-        var out = df.withColumn(vcol(e.target), explode(cands)).drop(nbrCols: _*)
-        // Injectivity: the new vertex differs from every already-bound one.
-        for (v <- e.input.matched)
-          out = out.where(col(vcol(e.target)) =!= col(vcol(v)))
-        condFilters(e).foldLeft(out)(_ where _)
-      }
+      case e: PullExtend =>
+        // One adjacency join per extension pivot.
+        var df = compile(e.input, edges, adj, scanSource)
+        val nbrCols = e.ext.map { d =>
+          val id  = aliasCounter.incrementAndGet()
+          val key = s"_vid$id"; val nb = s"_nbrs$id"
+          val a   = adj.select(col("vid").as(key), col("nbrs").as(nb))
+          df = df.join(a, df(vcol(d)) === a(key)).drop(key)
+          nb
+        }
+        if (e.verify) {
+          val t = col(vcol(e.target))
+          df.where(nbrCols.map(nb => array_contains(col(nb), t)).reduce(_ && _)).drop(nbrCols: _*)
+        } else {
+          val cands =
+            if (nbrCols.size == 1) col(nbrCols.head)
+            else nbrCols.map(col).reduce(array_intersect)
+          df.withColumn(vcol(e.target), explode(cands)).drop(nbrCols: _*)
+        }
 
-    case j: PushJoin =>
-      val l = compile(j.left, edges, adj, scanSource)
-      val r = compile(j.right, edges, adj, scanSource)
-      var df = l.join(r, j.key.map(vcol))
-      // Cross-side injectivity between non-shared vertices.
-      val lOnly = j.left.matched.filterNot(j.key.contains)
-      val rOnly = j.right.matched.filterNot(j.left.matched.contains)
-      for (a <- lOnly; b <- rOnly)
-        df = df.where(col(vcol(a)) =!= col(vcol(b)))
-      condFilters(j).foldLeft(df)(_ where _)
+      case j: PushJoin =>
+        val l = compile(j.left, edges, adj, scanSource)
+        l.join(compile(j.right, edges, adj, scanSource), j.key.map(vcol))
+    }
+    (distinctFilters(op) ++ condFilters(op)).foldLeft(df)(_ where _)
   }
 
   /** Count results of a dataflow (one row, column `cnt`). */

@@ -40,6 +40,13 @@ class OptimiserSpec extends AnyFunSuite {
   // on a 300-vertex test graph k|E_G| is not negligible and shapes differ.
   val ljScale = CostModel.fromStats(4_847_571L, 43_369_619L, 20_333)
 
+  for ((name, q) <- Queries.all)
+    test(s"$name plan at LJ scale is valid and compiles to a dataflow") {
+      val plan = Optimiser.optimise(q, ljScale, OptimiserConfig.huge(10))
+      PlanNode.validate(plan, q)
+      Dataflow.fromPlan(plan, q, q.symmetryConditions)
+    }
+
   test("4-clique plan is a left-deep chain of pulling wco joins (Figure 1b)") {
     val plan = Optimiser.optimise(Queries.q3, ljScale, OptimiserConfig.huge(10))
     assert(plan.joins.nonEmpty)

@@ -190,6 +190,18 @@ class EngineSpec extends AnyFunSuite {
       "hits" -> 7874L, "misses" -> 5798L, "kv" -> 5798L))
   }
 
+  // PUSH-JOIN plans with a 64-row spill threshold: the route, push, spill
+  // and merge accounting.
+  for ((name, q, plan, want) <- Seq[(String, QueryGraph, QueryGraph => PlanNode, Seq[Long])](
+         ("HUGE q8 (1 join)", Queries.q8, null, Seq(250293L, 1011840L, 1508352L, 37048L, 232L)),
+         ("SEED q8 (3 joins)", Queries.q8, LogicalPlans.seed(_, cost, 3), Seq(250293L, 1314196L, 1972224L, 0L, 0L)),
+         ("SEED q1 (1 join)", Queries.q1, LogicalPlans.seed(_, cost, 3), Seq(2855L, 120384L, 177408L, 0L, 0L))))
+    test(s"pinned counters: $name, spill threshold 64") {
+      val m = hugeRun(q, TestGraphs.pl, pinned.copy(spillThresholdRows = 64), plan)
+      assert(Seq(m.results.get, m.bytesPushed.get, m.spilledBytes.get, m.bytesPulled.get, m.rpcs.get) == want,
+        "results, bytesPushed, spilledBytes, bytesPulled, rpcs")
+    }
+
   // --- termination under stealing --------------------------------------------
   // DFS queues, tiny batches and chunks, and inter-machine stealing on: many
   // steals per run, so a termination race shows as a wrong count or a hang.
@@ -238,6 +250,23 @@ class EngineSpec extends AnyFunSuite {
       val run = Future(Engine.run(op, new PartitionedGraph(g, k), base(k)))(ExecutionContext.global)
       val outcome = Await.ready(run, 60.seconds).value.get
       assert(outcome.failed.toOption.exists(_.isInstanceOf[IndexOutOfBoundsException]), outcome)
+    }
+
+  // The left side of this join spills one run per row; its right side then
+  // reads N(99) and throws. The failed run must still delete the runs.
+  for (k <- 1 to 3)
+    test(s"a failed run leaves no spill runs behind (k=$k)") {
+      val g  = new DataGraph(Array(Array(1), Array(0, 99)))
+      val op = PushJoin(ScanEdge(0, 1, Vector()),
+                        PullExtend(ScanEdge(1, 2, Vector()), Vector(2), 3, verify = false, Vector()), Vector())
+      val tmp = new java.io.File(System.getProperty("java.io.tmpdir"))
+      def runFiles = tmp.list().filter(n => n.startsWith("huge-join-") && n.endsWith(".run")).toSet
+      val before  = runFiles
+      val cfg     = base(k).copy(batchSize = 1, spillThresholdRows = 1)
+      val run     = Future(Engine.run(op, new PartitionedGraph(g, k), cfg))(ExecutionContext.global)
+      val outcome = Await.ready(run, 60.seconds).value.get
+      assert(outcome.failed.toOption.exists(_.isInstanceOf[IndexOutOfBoundsException]), outcome)
+      assert((runFiles -- before).isEmpty, "spill runs left in java.io.tmpdir")
     }
 
   // --- metrics model --------------------------------------------------------

@@ -3,7 +3,7 @@ package repro.engine
 import org.scalatest.funsuite.AnyFunSuite
 
 /** The ordering contract of one PUSH-JOIN side: `sortedIterator` returns
-  * every row added, ordered by the key columns as `Kernels.compareKeys`
+  * every row added, ordered by the key columns as `JoinSideBuffer.compareKeys`
   * orders them, whether the rows stayed in memory or were spilled as runs.
   */
 class JoinSideBufferSpec extends AnyFunSuite {
@@ -55,7 +55,7 @@ class JoinSideBufferSpec extends AnyFunSuite {
       assert(out.length == in.length)
       out.sliding(2).foreach {
         case Seq(a, b) =>
-          assert(Kernels.compareKeys(a, keyCols, b, keyCols) <= 0,
+          assert(JoinSideBuffer.compareKeys(a, keyCols, b, keyCols) <= 0,
             s"${a.mkString(",")} before ${b.mkString(",")}")
         case _ =>
       }

@@ -60,17 +60,18 @@ object EnumProperties extends Properties("Enum") {
 
   /** A small engine configuration: few machines and workers, tiny batches
     * and chunks (so the worker pool splits them), DFS/adaptive/BFS queues,
-    * every cache design, a join spill threshold of 4 rows or the default,
-    * and the external store and inter-machine stealing each on or off.
+    * every cache design, a join spill threshold of 1 row (every row its
+    * own run, so the merge takes many runs), 4 rows or the default, and the
+    * external store and inter-machine stealing each on or off.
     */
   val genEngineConfig: Gen[EngineConfig] = for {
-    machines <- Gen.choose(1, 3)
+    machines <- Gen.choose(1, 5)
     workers  <- Gen.choose(1, 2)
     batch    <- Gen.choose(1, 64)
     chunk    <- Gen.choose(1, 64)
     queue    <- Gen.oneOf(1L, 64L, Long.MaxValue)
     cache    <- Gen.oneOf(CacheKind.all)
-    spill    <- Gen.oneOf(4, EngineConfig().spillThresholdRows)
+    spill    <- Gen.oneOf(1, 4, EngineConfig().spillThresholdRows)
     external <- Gen.oneOf(false, true)
     steal    <- Gen.oneOf(false, true)
   } yield EngineConfig(machines = machines, workersPerMachine = workers, batchSize = batch,

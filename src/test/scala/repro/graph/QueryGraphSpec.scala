@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.SubQuery
 
 class QueryGraphSpec extends AnyFunSuite {
 
@@ -25,12 +26,13 @@ class QueryGraphSpec extends AnyFunSuite {
   }
 
   test("star detection: stars, edges, non-stars") {
-    assert(QueryGraph.star(4, 0, Seq(1, 2, 3)).isStar)
-    assert(QueryGraph.path(2).isStar)                 // a single edge is a 1-star
-    assert(!Queries.q1.isStar)                        // square
-    assert(!QueryGraph.path(4).isStar)                // 3-edge path
-    assert(QueryGraph.path(3).isStar)                 // wedge = 2-star
-    assert(QueryGraph.star(5, 2, Seq(0, 1, 3, 4)).starRoot.contains(2))
+    def whole(q: QueryGraph) = SubQuery(q, q.edges.toSet)
+    assert(whole(QueryGraph.star(4, 0, Seq(1, 2, 3))).isStar)
+    assert(whole(QueryGraph.path(2)).isStar)          // a single edge is a 1-star
+    assert(!whole(Queries.q1).isStar)                 // square
+    assert(!whole(QueryGraph.path(4)).isStar)         // 3-edge path
+    assert(whole(QueryGraph.path(3)).isStar)          // wedge = 2-star
+    assert(whole(QueryGraph.star(5, 2, Seq(0, 1, 3, 4))).starRoots.contains(2))
   }
 
   // Known automorphism group sizes.

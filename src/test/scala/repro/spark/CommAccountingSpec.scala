@@ -55,6 +55,16 @@ class CommAccountingSpec extends SparkSpec {
     assert(per.size == nonScan)
   }
 
+  test("BiGJoin plan's pushing extends push what the engine pushes, and pull nothing") {
+    val q      = Queries.q1
+    val op     = Dataflow.fromPlan(LogicalPlans.bigJoin(q), q, q.symmetryConditions)
+    val engine = repro.engine.Engine.run(op, new repro.engine.PartitionedGraph(TestGraphs.pl, 3),
+      repro.engine.EngineConfig(machines = 3, workersPerMachine = 1, interStealing = false))
+    val (pushed, pulled) = CommAccounting.totals(op, edges, adj, k = 3)
+    assert(pulled == 0)
+    assert(pushed == engine.bytesPushed.get && pushed == 54816L, s"pushed=$pushed engine=${engine.bytesPushed.get}")
+  }
+
   test("more machines pull more (cache-less bound grows with k)") {
     val op = opFor(Queries.q1)
     val p2 = CommAccounting.totals(op, edges, adj, 2)._2
