@@ -16,6 +16,10 @@ import scala.collection.mutable.ArrayBuffer
   * @param externalStore    BENU-native: all adjacency (even local) is read
   *        through an external KV store — per-access RPC + modelled latency
   * @param interStealing    inter-machine StealWork (§5.3)
+  * @param chunkSize        the least work per intra-machine stealing unit,
+  *        in expected output rows (a verify counts each input row as one):
+  *        the pool cuts an extend's intersect stage into chunks of at least
+  *        this weight, and runs a lighter stage inline
   */
 final case class EngineConfig(
     machines: Int = 4,

@@ -33,11 +33,18 @@ final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
     else metrics.rpcs.addAndGet(owners)
   }
 
+  /** Fetch scopes open and not yet released; they nest when a stolen
+    * batch's pipeline extends a batch's output before the batch is done.
+    */
+  private var depth = 0
+
   /** The fetch stage of a two-stage cache (single writer: the machine's
     * scheduler thread): make every remote pivot of `batch` resident and
-    * sealed. A per-access cache (Cncr-LRU) skips it and pulls in [[read]].
+    * sealed, and open a scope that [[release]] closes. A per-access cache
+    * (Cncr-LRU) skips it and pulls in [[read]].
     */
   def fetch(batch: Array[Array[Int]], pivotCols: Array[Int]): Unit = if (cache.twoStage) {
+    depth += 1
     val t0     = System.nanoTime()
     val remote = new Kernels.IntSet(batch.length)
     var b = 0
@@ -67,25 +74,38 @@ final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
   }
 
   /** N(v) in the intersect stage, called by all workers. After [[fetch]] a
-    * two-stage cache is read lock-free; a per-access cache pulls each miss
+    * two-stage cache is read lock-free, and a vertex it lacks means the
+    * fetch stage broke its contract; a per-access cache pulls each miss
     * here, one round per vertex.
     */
   val read: Int => Array[Int] =
-    if (cache.twoStage) v => if (isLocal(v)) pg.localNbrs(v, m) else cache.get(v)
+    if (cache.twoStage) v => if (isLocal(v)) pg.localNbrs(v, m) else cache.get(v) match {
+      case null => throw new IllegalStateException(s"N($v) is not resident on machine $m after the fetch stage")
+      case ns   => ns
+    }
     else v => if (isLocal(v)) pg.localNbrs(v, m) else cache.get(v) match {
       case null => chargeRound(1, 1); pull(v)
       case ns   => metrics.cacheHits.incrementAndGet(); ns
     }
 
-  /** End of a batch: its sealed vertices become evictable again. */
-  def release(): Unit = cache.release()
+  /** End of a batch's scope. Closing the outermost one makes every vertex
+    * sealed since it opened evictable again: a nested scope must not
+    * release the outer batch's pivots while the outer batch still reads
+    * them. The cache may thus exceed its capacity by the sealed sets along
+    * one nesting chain, one batch's remote vertices per level (§4.4).
+    */
+  def release(): Unit = if (cache.twoStage) {
+    depth -= 1
+    if (depth == 0) cache.release()
+  }
 }
 
-/** PULL-EXTEND (Algorithm 4) on the machine of `pool`. A batch is split by
-  * expected expansion; each part then runs the fetch stage on the machine's
-  * [[Adjacency]] and the intersect stage on its [[WorkerPool]]. An extend
-  * whose plan join pushes (BiGJoin) instead charges each row's trip to its
-  * pivots' owners and intersects there.
+/** PULL-EXTEND (Algorithm 4) on the machine of `pool`. A batch runs the
+  * fetch stage once on the machine's [[Adjacency]]; its intersect stage
+  * then runs on the [[WorkerPool]] in ranges of bounded expected
+  * expansion, and each range's output is emitted before the next starts.
+  * An extend whose plan join pushes (BiGJoin) instead charges each row's
+  * trip to its pivots' owners and intersects there.
   */
 final class Extender(pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConfig,
                      metrics: Metrics, stopped: () => Boolean) {
@@ -94,68 +114,73 @@ final class Extender(pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConfig,
                                   cfg.externalStore, metrics)
   private val maxExpansion = math.max(cfg.batchSize.toLong * 8, 32768L)
 
-  /** Process one input batch, emitting bounded output chunks. The batch is
-    * first split so each sub-batch's *expected expansion* (sum over rows of
-    * the smallest pivot degree — an upper bound on the intersection size)
-    * stays bounded: one 20k-degree hub row can otherwise blow a 4096-row
-    * batch up to 10^8 output rows in a single burst, stalling the window
-    * and overflowing memory far beyond the queue bound.
-    */
+  /** Process one input batch, emitting bounded output chunks. */
   def apply(ex: Kernels.Extend, batch: Array[Array[Int]],
-            emit: ArrayBuffer[Array[Int]] => Unit): Unit = {
-    val pivotCols = ex.pivotCols
+            emit: ArrayBuffer[Array[Int]] => Unit): Unit = ex.op.comm match {
+    case CommMode.Pulling =>
+      adj.fetch(batch, ex.pivotCols)
+      intersect(ex, batch, adj.read, emit)
+      adj.release()
+    case CommMode.Pushing =>
+      // Each partial result travels to the owner of every extension pivot
+      // in turn; the intersection itself is then local.
+      val pivotCols = ex.pivotCols
+      var b = 0
+      while (b < batch.length) {
+        val row  = batch(b)
+        var prev = pool.machine
+        var i    = 0
+        while (i < pivotCols.length) {
+          val o = pg.owner(row(pivotCols(i)))
+          if (o != prev) { metrics.bytesPushed.addAndGet(Kernels.rowBytes(row)); prev = o }
+          i += 1
+        }
+        b += 1
+      }
+      intersect(ex, batch, pg.serveNbrs, emit)
+  }
+
+  /** The intersect stage of `batch`. A row's *expected expansion* is its
+    * smallest pivot degree (an upper bound on its intersection size), or 1
+    * for a verify, which keeps at most its row. The stage is cut into
+    * ranges whose expansion stays bounded: one 20k-degree hub row can
+    * otherwise blow a 4096-row batch up to 10^8 output rows in a single
+    * burst, stalling the window and overflowing memory far beyond the
+    * queue bound. Within a range the pool's chunks weigh `chunkSize`
+    * expected rows or more, so a heavy range fills every worker.
+    */
+  private def intersect(ex: Kernels.Extend, batch: Array[Array[Int]], nbrsOf: Int => Array[Int],
+                        emit: ArrayBuffer[Array[Int]] => Unit): Unit = {
+    val weights = expansion(ex, batch)
     var start = 0
     var acc   = 0L
     var i     = 0
     while (i < batch.length) {
-      var minDeg = Int.MaxValue
-      var pc = 0
-      while (pc < pivotCols.length) {
-        val d = pg.g.degree(batch(i)(pivotCols(pc))) // degree = graph metadata
-        if (d < minDeg) minDeg = d
-        pc += 1
-      }
-      acc += minDeg
+      acc += weights(i)
       i += 1
       if (acc >= maxExpansion || i == batch.length) {
-        val sub = if (start == 0 && i == batch.length) batch
-                  else java.util.Arrays.copyOfRange(batch, start, i)
-        emit(extend(ex, sub))
+        val range = if (start == 0 && i == batch.length) batch
+                    else java.util.Arrays.copyOfRange(batch, start, i)
+        val from  = start
+        val chunk = math.max(cfg.chunkSize.toLong, acc / (4 * cfg.workersPerMachine))
+        emit(pool.runWeighted(ArraySeq.unsafeWrapArray(range), r => weights(from + r), chunk, stopped) {
+          (row, out) => ex(row, nbrsOf, out)
+        })
         start = i
         acc = 0L
       }
     }
   }
 
-  private def extend(ex: Kernels.Extend, batch: Array[Array[Int]]): ArrayBuffer[Array[Int]] =
-    ex.op.comm match {
-      case CommMode.Pulling =>
-        adj.fetch(batch, ex.pivotCols)
-        val out = intersect(ex, batch, adj.read)
-        adj.release()
-        out
-      case CommMode.Pushing =>
-        // Each partial result travels to the owner of every extension pivot
-        // in turn; the intersection itself is then local.
-        val pivotCols = ex.pivotCols
-        var b = 0
-        while (b < batch.length) {
-          val row  = batch(b)
-          var prev = pool.machine
-          var i    = 0
-          while (i < pivotCols.length) {
-            val o = pg.owner(row(pivotCols(i)))
-            if (o != prev) { metrics.bytesPushed.addAndGet(Kernels.rowBytes(row)); prev = o }
-            i += 1
-          }
-          b += 1
-        }
-        intersect(ex, batch, pg.serveNbrs)
-    }
-
-  private def intersect(ex: Kernels.Extend, batch: Array[Array[Int]],
-                        nbrsOf: Int => Array[Int]): ArrayBuffer[Array[Int]] =
-    pool.run(ArraySeq.unsafeWrapArray(batch), cfg.chunkSize, stopped) { (row, out) =>
-      ex(row, nbrsOf, out)
+  private def expansion(ex: Kernels.Extend, batch: Array[Array[Int]]): Array[Int] =
+    if (ex.op.verify) Array.fill(batch.length)(1)
+    else batch.map { row =>
+      var minDeg = Int.MaxValue
+      var pc = 0
+      while (pc < ex.pivotCols.length) {
+        minDeg = math.min(minDeg, pg.g.degree(row(ex.pivotCols(pc)))) // degree = graph metadata
+        pc += 1
+      }
+      minDeg
     }
 }

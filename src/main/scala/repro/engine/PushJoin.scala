@@ -130,7 +130,6 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
   private def spill(): Unit = {
     val sorted = JoinSideBuffer.sortByKeys(mem, keyCols, keySame, keyAny)
     val f      = File.createTempFile(s"huge-join-m$machine", ".run")
-    f.deleteOnExit()
     val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f), 1 << 16))
     try sorted.foreach { r => var i = 0; while (i < rowWidth) { out.writeInt(r(i)); i += 1 } }
     finally out.close()

@@ -24,27 +24,45 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
     }
   })
 
-  /** Process `rows` in parallel: `process(row, out)` appends result rows to
-    * the worker-local buffer `out`. Returns all output rows. The caller
-    * thread blocks until every chunk is done (the stage barrier of §4.2).
-    * The first exception `process` throws stops the other workers and is
-    * rethrown here.
-    */
+  /** [[runWeighted]] with every row weighing 1: chunks of `chunkSize` rows. */
   def run(rows: IndexedSeq[Array[Int]], chunkSize: Int,
           cancelled: () => Boolean = () => false)
-         (process: (Array[Int], ArrayBuffer[Array[Int]]) => Unit): ArrayBuffer[Array[Int]] = {
-    if (rows.isEmpty) return ArrayBuffer.empty
-    if (nWorkers == 1 || rows.length <= chunkSize) {
+         (process: (Array[Int], ArrayBuffer[Array[Int]]) => Unit): ArrayBuffer[Array[Int]] =
+    runWeighted(rows, _ => 1L, chunkSize.toLong, cancelled)(process)
+
+  /** Process `rows` in parallel: `process(row, out)` appends result rows to
+    * the worker-local buffer `out`. Returns all output rows. Each chunk is
+    * a run of consecutive rows whose weights (`weight(i)` for row i) sum to
+    * at least `chunkWeight`, except the last; a single chunk runs inline.
+    * The caller thread blocks until every chunk is done (the stage barrier
+    * of §4.2). The first exception `process` throws stops the other
+    * workers and is rethrown here.
+    */
+  def runWeighted(rows: IndexedSeq[Array[Int]], weight: Int => Long, chunkWeight: Long,
+                  cancelled: () => Boolean)
+                 (process: (Array[Int], ArrayBuffer[Array[Int]]) => Unit): ArrayBuffer[Array[Int]] = {
+    // Chunk c is rows [cuts(c), cuts(c + 1)).
+    val cuts = ArrayBuffer(0)
+    var acc  = 0L
+    var i    = 0
+    while (i < rows.length) {
+      acc += weight(i)
+      i += 1
+      if (acc >= chunkWeight || i == rows.length) { cuts += i; acc = 0L }
+    }
+    def runRows(from: Int, until: Int, out: ArrayBuffer[Array[Int]], stop: => Boolean): Unit = {
+      var r = from
+      while (r < until && !stop) { process(rows(r), out); r += 1 }
+    }
+    val nChunks = cuts.length - 1
+    if (nWorkers == 1 || nChunks <= 1) {
       val out = new ArrayBuffer[Array[Int]]()
-      var i = 0
-      while (i < rows.length && !cancelled()) { process(rows(i), out); i += 1 }
+      runRows(0, rows.length, out, cancelled())
       return out
     }
-    val deques = Array.fill(nWorkers)(new java.util.ArrayDeque[Seq[Int]]())
-    val chunks = rows.indices.grouped(chunkSize).toVector
-    for ((c, i) <- chunks.zipWithIndex)
-      deques(i % nWorkers).addLast(c)
-    val outs  = Array.fill(nWorkers)(new ArrayBuffer[Array[Int]]())
+    val deques = Array.fill(nWorkers)(new java.util.ArrayDeque[Integer]())
+    for (c <- 0 until nChunks) deques(c % nWorkers).addLast(c)
+    val outs    = Array.fill(nWorkers)(new ArrayBuffer[Array[Int]]())
     val latch   = new CountDownLatch(nWorkers)
     val failure = new AtomicReference[Throwable]()
     def stopped = failure.get != null || cancelled()
@@ -65,11 +83,8 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
               metrics.stealsIntra.incrementAndGet()
               deques(w).synchronized(stolen.foreach(deques(w).addLast))
             } else if (deques.forall(d => d.synchronized(d.isEmpty))) done = true
-          } else if (!stopped) {
-            val out = outs(w)
-            val it  = chunk.iterator
-            while (it.hasNext && !stopped) process(rows(it.next()), out)
-          } else done = true
+          } else if (!stopped) runRows(cuts(chunk), cuts(chunk + 1), outs(w), stopped)
+          else done = true
         }
       } catch {
         case e: Throwable => failure.compareAndSet(null, e)

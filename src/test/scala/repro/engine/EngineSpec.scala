@@ -153,6 +153,70 @@ class EngineSpec extends AnyFunSuite {
     assert(m.stealsIntra.get > 0, "4 workers on chunked batches must steal")
   }
 
+  // --- Algorithm 4's fetch scope ------------------------------------------------
+  // One batch of K_200 edge rows (a, b) whose rows weigh 199 each, so the
+  // 32,768 expansion bound cuts it into three ranges of 165 rows; every
+  // pivot is remote to machine 0. The outer extend adds c > b, and each
+  // range's output goes straight into a verify on c, as a stolen batch's
+  // pipeline does. Each later range's c's are new to the one-entry LRBU, so
+  // a nested release would let them evict the outer batch's pivots before
+  // its last range reads them.
+  test("a nested extend keeps the outer batch's pivots resident until the outer batch is done") {
+    val n       = 200
+    val pg      = new PartitionedGraph(DataGraph.complete(n), 2)
+    val remote  = (0 until n).filter(pg.owner(_) == 1)
+    def near(x: Int) = remote.minBy(v => math.abs(v - x))
+    val a       = remote.head
+    val batch   = Seq(190, 100, 50).flatMap(b => Seq.fill(165)(Array(a, near(b)))).toArray
+    val outer   = PullExtend(ScanEdge(0, 1, Vector()), Vector(0, 1), 2, verify = false, Vector((1, 2)))
+    val inner   = PullExtend(outer, Vector(2), 1, verify = true, Vector())
+    val cfg     = EngineConfig(machines = 2, workersPerMachine = 2, cacheCapacityEntries = 1)
+    val metrics = new Metrics(2, cfg.net)
+    val pool    = new WorkerPool(0, cfg.workersPerMachine, metrics)
+    val ext     = new Extender(pool, pg, cfg, metrics, () => false)
+    var ranges  = 0
+    var kept    = 0L
+    try ext(new Kernels.Extend(outer), batch, { out =>
+      ranges += 1
+      ext(new Kernels.Extend(inner), out.toArray, kept += _.length)
+    }) finally pool.shutdown()
+    assert(ranges >= 3, "the batch must split into at least three ranges")
+    assert(kept == batch.map(r => (0 until n).count(c => c > r(1) && c != r(0)).toLong).sum)
+  }
+
+  test("a two-stage read of a vertex the fetch stage missed throws, naming the vertex") {
+    val pg  = new PartitionedGraph(DataGraph.complete(8), 2)
+    val v   = (0 until 8).find(pg.owner(_) == 1).get
+    val adj = new Adjacency(0, pg, NbrCache(CacheKind.Lrbu, 4), externalStore = false,
+                            new Metrics(2, NetworkModel()))
+    assert(intercept[IllegalStateException](adj.read(v)).getMessage.contains(s"N($v)"))
+  }
+
+  // 64 rows of weight 100 in chunks of weight 800: eight chunks. Each worker
+  // waits at its first row until the other has started one, so a single
+  // worker cannot take every chunk.
+  test("WorkerPool runs a heavy range's weighted chunks on several workers, as one worker would") {
+    val rows = (0 until 64).map(i => Array(i))
+    def runOn(workers: Int): (Seq[Seq[Int]], Set[String]) = {
+      val pool    = new WorkerPool(0, workers, new Metrics(1, NetworkModel()))
+      val started = new java.util.concurrent.CountDownLatch(workers)
+      val threads = java.util.concurrent.ConcurrentHashMap.newKeySet[String]()
+      try {
+        val out = pool.runWeighted(rows, _ => 100L, 800L, () => false) { (row, out) =>
+          if (threads.add(Thread.currentThread().getName)) {
+            started.countDown()
+            started.await(10, java.util.concurrent.TimeUnit.SECONDS)
+          }
+          out += Array(row(0), 2 * row(0))
+        }
+        (out.map(_.toSeq).toSeq.sortBy(_.head), threads.toArray(Array.empty[String]).toSet)
+      } finally pool.shutdown()
+    }
+    val (par, threads) = runOn(2)
+    assert(threads.size == 2 && threads.forall(_.startsWith("m0-worker-")), threads)
+    assert(par == runOn(1)._1 && par.length == 64)
+  }
+
   // --- pinned accounting ----------------------------------------------------
   // Exact counters of single-worker runs without inter-machine stealing, so
   // the fetch, pull, push and store accounting cannot drift unnoticed.

@@ -60,9 +60,11 @@ object EnumProperties extends Properties("Enum") {
 
   /** A small engine configuration: few machines and workers, tiny batches
     * and chunks (so the worker pool splits them), DFS/adaptive/BFS queues,
-    * every cache design, a join spill threshold of 1 row (every row its
-    * own run, so the merge takes many runs), 4 rows or the default, and the
-    * external store and inter-machine stealing each on or off.
+    * every cache design with 1 entry, 8 or the default (the small ones
+    * evict, and overflow while a batch holds its pivots sealed), a join
+    * spill threshold of 1 row (every row its own run, so the merge takes
+    * many runs), 4 rows or the default, and the external store and
+    * inter-machine stealing each on or off.
     */
   val genEngineConfig: Gen[EngineConfig] = for {
     machines <- Gen.choose(1, 5)
@@ -71,11 +73,13 @@ object EnumProperties extends Properties("Enum") {
     chunk    <- Gen.choose(1, 64)
     queue    <- Gen.oneOf(1L, 64L, Long.MaxValue)
     cache    <- Gen.oneOf(CacheKind.all)
+    capacity <- Gen.oneOf(1, 8, EngineConfig().cacheCapacityEntries)
     spill    <- Gen.oneOf(1, 4, EngineConfig().spillThresholdRows)
     external <- Gen.oneOf(false, true)
     steal    <- Gen.oneOf(false, true)
   } yield EngineConfig(machines = machines, workersPerMachine = workers, batchSize = batch,
                        chunkSize = chunk, queueCapacityRows = queue, cacheKind = cache,
+                       cacheCapacityEntries = capacity,
                        spillThresholdRows = spill, externalStore = external,
                        interStealing = steal)
 
