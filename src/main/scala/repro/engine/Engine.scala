@@ -94,17 +94,14 @@ object Engine {
 
     val pools     = Array.tabulate(k)(m => new WorkerPool(m, cfg.workersPerMachine, metrics))
     val extenders = pools.map(new Extender(_, pg, cfg, metrics, stopped))
-    val boards    = stages.map(new StageBoard(_, k))
+    val boards    = stages.map(new StageBoard(_, pg, extenders, cfg, metrics, stopped))
 
     val t0 = System.nanoTime()
     val threads = new Array[Thread](k)
     for (m <- 0 until k) threads(m) = new Thread(() => {
       try {
         for (board <- boards) {
-          val runner = new MachineRunner(m, board, pg, extenders(m), cfg, metrics, stopped)
-          board.register(m, runner)
-          barrier.await() // all runners registered
-          if (!stopped()) runner.runStage()
+          board(m).runStage()
           // Every source is exhausted or the run is stopping, so this
           // machine's join buckets have no reader left.
           board.stage.source match { case JoinSrc(spec) => spec.clear(m); case _ => }
@@ -135,13 +132,15 @@ object Engine {
     run(Dataflow.fromPlan(plan, q, q.symmetryConditions), pg, cfg)
 }
 
-/** Registry of the k runners of the current stage (for inter-machine
-  * stealing and termination detection).
+/** One stage's k [[MachineRunner]]s, built before any machine thread
+  * starts (for inter-machine stealing and termination detection).
   */
-final class StageBoard(val stage: Stage, val k: Int) {
-  private val runners = new Array[MachineRunner](k)
-  private val idle    = new Array[Boolean](k)
-  def register(m: Int, r: MachineRunner): Unit = runners(m) = r
+final class StageBoard(val stage: Stage, pg: PartitionedGraph, extenders: Array[Extender],
+                       cfg: EngineConfig, metrics: Metrics, stopped: () => Boolean) {
+  val k: Int = extenders.length
+  private val runners =
+    Array.tabulate(k)(m => new MachineRunner(m, this, pg, extenders(m), cfg, metrics, stopped))
+  private val idle = new Array[Boolean](k)
   def apply(m: Int): MachineRunner = runners(m)
 
   /** Mark machine m idle; true when every machine is idle with no own work
@@ -149,7 +148,7 @@ final class StageBoard(val stage: Stage, val k: Int) {
     */
   def markIdle(m: Int): Boolean = this.synchronized {
     idle(m) = true
-    (0 until k).forall(i => idle(i) && runners(i) != null && runners(i).ownWorkExhausted)
+    (0 until k).forall(i => idle(i) && runners(i).ownWorkExhausted)
   }
 
   def markBusy(m: Int): Unit = this.synchronized { idle(m) = false }
@@ -157,7 +156,8 @@ final class StageBoard(val stage: Stage, val k: Int) {
 
 /** One machine's execution of one stage: the Algorithm-5 scheduler walk,
   * source generation and sinks. PULL-EXTENDs run on the machine's
-  * [[Extender]]; an idle machine steals through [[StealWork]].
+  * [[Extender]]; an idle machine steals through [[StealWork]], which puts
+  * the batch on its own queue for the same walk to drain.
   */
 final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, extender: Extender,
                           cfg: EngineConfig, metrics: Metrics, stopped: () => Boolean) {
@@ -178,7 +178,8 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
       // ids (our generators place hubs at low ids) a sequential scan would
       // start with the most expensive pivots; hashing spreads them evenly,
       // which is what a random partition of a real graph looks like.
-      val local = pg.localVertices(m).toArray.sortBy(v => v * 0x9E3779B9)
+      // Lazy: the sort runs on the machine thread, not the board's.
+      lazy val local = pg.localVertices(m).toArray.sortBy(v => v * 0x9E3779B9)
       var next  = 0
       batch => next < local.length && {
         val u  = local(next)
@@ -202,7 +203,7 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
   // ---- Algorithm 5 --------------------------------------------------------
   def runStage(): Unit =
     while (!stopped()) {
-      if (!runOwnWork() && !(cfg.interStealing && StealWork(m, board, metrics)(pipelineFrom))) {
+      if (!runOwnWork() && !(cfg.interStealing && StealWork(m, board, metrics))) {
         if (board.markIdle(m)) return
         Thread.sleep(0, 200_000)
         board.markBusy(m)
@@ -236,7 +237,9 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
     worked
   }
 
-  /** Run extend qi until its input is empty or its output queue is full. */
+  /** Run extend qi until its input is empty or its output queue is full;
+    * its output goes in batches to the next queue, or to the sink.
+    */
   private def drainExtend(qi: Int): Boolean = {
     var worked = false
     def outFull = qi + 1 < e && queues(qi + 1).isFull
@@ -244,26 +247,14 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
       val batch = queues(qi).tryDequeue()
       if (batch != null) {
         worked = true
-        runExtend(qi, batch)(b => queues(qi + 1).enqueue(b))
+        extender(stage.exts(qi), batch, { out =>
+          if (qi + 1 < e) out.grouped(cfg.batchSize).foreach(g => queues(qi + 1).enqueue(g.toArray))
+          else sinkRows(out)
+        })
       }
     }
     worked
   }
-
-  /** Extend qi over one batch. Its output goes on in batches to `next`, or
-    * after the last extend to the sink.
-    */
-  private def runExtend(qi: Int, batch: Array[Array[Int]])(next: Array[Array[Int]] => Unit): Unit =
-    extender(stage.exts(qi), batch, { out =>
-      if (qi + 1 < e) out.grouped(cfg.batchSize).foreach(g => next(g.toArray))
-      else sinkRows(out)
-    })
-
-  /** Depth-first local pipeline for stolen batches: run ops qi..e-1 with
-    * bounded sub-batches (no queues involved).
-    */
-  private def pipelineFrom(qi: Int, batch: Array[Array[Int]]): Unit =
-    if (!stopped()) runExtend(qi, batch)(pipelineFrom(qi + 1, _))
 
   private def sinkRows(rows: collection.Seq[Array[Int]]): Unit = stage.sink match {
     case CountSink            => metrics.results.addAndGet(rows.length)

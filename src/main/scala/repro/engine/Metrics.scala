@@ -35,6 +35,9 @@ final class Metrics(val k: Int, val net: NetworkModel = NetworkModel()) {
   val bytesPulled  = new AtomicLong // adjacency fetched via GetNbrs
   val rpcs         = new AtomicLong // bulk GetNbrs + StealWork calls
   val kvAccesses   = new AtomicLong // external-store accesses (BENU mode)
+  /** Lookups of remote adjacency: one per distinct remote pivot per fetch
+    * round with a two-stage cache, one per read with Cncr-LRU.
+    */
   val cacheHits    = new AtomicLong
   val cacheMisses  = new AtomicLong
   val stealsIntra  = new AtomicLong
@@ -77,6 +80,9 @@ final class Metrics(val k: Int, val net: NetworkModel = NetworkModel()) {
   /** T = T_R + T_C, the paper's accounting. */
   def totalTimeSec: Double = computeTimeSec + commTimeSec
 
+  /** Hits over lookups, i.e. reuse across batches with a two-stage cache:
+    * it falls as batches grow (fewer fetch rounds) even at level `bytesPulled`.
+    */
   def hitRate: Double = {
     val h = cacheHits.get; val m = cacheMisses.get
     if (h + m == 0) 0.0 else h.toDouble / (h + m)

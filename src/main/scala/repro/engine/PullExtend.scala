@@ -33,18 +33,18 @@ final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
     else metrics.rpcs.addAndGet(owners)
   }
 
-  /** Fetch scopes open and not yet released; they nest when a stolen
-    * batch's pipeline extends a batch's output before the batch is done.
-    */
-  private var depth = 0
+  /** True from a batch's [[fetch]] until its [[release]]. */
+  private var scopeOpen = false
 
   /** The fetch stage of a two-stage cache (single writer: the machine's
     * scheduler thread): make every remote pivot of `batch` resident and
-    * sealed, and open a scope that [[release]] closes. A per-access cache
+    * sealed, and open the batch's scope that [[release]] closes. Scopes do
+    * not nest: one batch at a time holds its pivots. A per-access cache
     * (Cncr-LRU) skips it and pulls in [[read]].
     */
   def fetch(batch: Array[Array[Int]], pivotCols: Array[Int]): Unit = if (cache.twoStage) {
-    depth += 1
+    if (scopeOpen) throw new IllegalStateException(s"machine $m fetched a batch before releasing the last")
+    scopeOpen = true
     val t0     = System.nanoTime()
     val remote = new Kernels.IntSet(batch.length)
     var b = 0
@@ -88,22 +88,20 @@ final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
       case ns   => metrics.cacheHits.incrementAndGet(); ns
     }
 
-  /** End of a batch's scope. Closing the outermost one makes every vertex
-    * sealed since it opened evictable again: a nested scope must not
-    * release the outer batch's pivots while the outer batch still reads
-    * them. The cache may thus exceed its capacity by the sealed sets along
-    * one nesting chain, one batch's remote vertices per level (§4.4).
+  /** End of a batch's scope: its pivots become evictable again. The cache
+    * may thus exceed its capacity by one batch's remote vertices (§4.4).
     */
   def release(): Unit = if (cache.twoStage) {
-    depth -= 1
-    if (depth == 0) cache.release()
+    scopeOpen = false
+    cache.release()
   }
 }
 
 /** PULL-EXTEND (Algorithm 4) on the machine of `pool`. A batch runs the
   * fetch stage once on the machine's [[Adjacency]]; its intersect stage
   * then runs on the [[WorkerPool]] in ranges of bounded expected
-  * expansion, and each range's output is emitted before the next starts.
+  * expansion, and each range's output is emitted (never into another
+  * extend: the batch's fetch scope is still open) before the next starts.
   * An extend whose plan join pushes (BiGJoin) instead charges each row's
   * trip to its pivots' owners and intersects there.
   */

@@ -131,24 +131,24 @@ final class BatchQueue(capacityRows0: Long, machine: Int, metrics: Metrics) {
 /** Inter-machine StealWork (§5.3), the second stealing layer: an idle
   * machine visits the others in random order and takes one batch from the
   * first with queued work, at its top-most unfinished operator (earliest
-  * non-empty input queue). A steal is one RPC carrying the batch.
+  * non-empty input queue). A steal is one RPC carrying the batch into the
+  * thief's own queue there, where its rows count toward the thief's memory.
   */
 object StealWork {
-  /** Run `process(qi, batch)` on one batch stolen from operator qi's input
-    * queue; false when no other machine had queued work.
+  /** Move one batch from another machine's operator-qi input queue to the
+    * thief's own; false when no other machine had queued work.
     */
-  def apply(thief: Int, board: StageBoard, metrics: Metrics)
-           (process: (Int, Array[Array[Int]]) => Unit): Boolean = {
+  def apply(thief: Int, board: StageBoard, metrics: Metrics): Boolean = {
     val order  = java.util.concurrent.ThreadLocalRandom.current()
       .ints(0, board.k).distinct().limit(board.k.toLong).toArray
-    val stolen = order.iterator.filter(_ != thief).map(board(_)).filter(_ != null)
+    val stolen = order.iterator.filter(_ != thief).map(board(_))
       .flatMap(v => v.queues.indices.iterator.map(qi => (qi, v.queues(qi).tryDequeue())))
       .find(_._2 != null)
     for ((qi, batch) <- stolen) {
       metrics.stealsInter.incrementAndGet()
       metrics.rpcs.incrementAndGet()
       metrics.stolenBytes.addAndGet(Kernels.batchBytes(batch))
-      process(qi, batch)
+      board(thief).queues(qi).enqueue(batch)
     }
     stolen.isDefined
   }

@@ -146,6 +146,30 @@ class EngineSpec extends AnyFunSuite {
     assert(withSteal.results.get == noSteal.results.get)
   }
 
+  // Machine 1 has one batch queued at the stage's only extend; machine 0
+  // steals it.
+  test("StealWork moves a batch into the thief's own queue") {
+    val cfg     = base(2)
+    val metrics = new Metrics(2, cfg.net)
+    val pg      = new PartitionedGraph(TestGraphs.pl, 2)
+    val pools   = Array.tabulate(2)(new WorkerPool(_, 1, metrics))
+    try {
+      val stage = Stages.compile(PullExtend(ScanEdge(0, 1, Vector()), Vector(0, 1), 2, verify = false,
+                                            Vector()), cfg, metrics).head
+      val board = new StageBoard(stage, pg, pools.map(new Extender(_, pg, cfg, metrics, () => false)),
+                                 cfg, metrics, () => false)
+      val batch = Array(Array(0, 1), Array(1, 2), Array(2, 3))
+      board(1).queues(0).enqueue(batch)
+      assert(StealWork(0, board, metrics))
+      val bytes = Kernels.batchBytes(batch)
+      assert(Seq(metrics.stealsInter.get, metrics.rpcs.get, metrics.stolenBytes.get) == Seq(1L, 1L, bytes))
+      assert(metrics.heldBytes(0) == bytes && metrics.heldBytes(1) == 0L)
+      assert(!StealWork(0, board, metrics), "nothing is left to steal")
+      assert(board(1).queues(0).isEmpty)
+      assert(board(0).queues(0).tryDequeue() eq batch)
+    } finally pools.foreach(_.shutdown())
+  }
+
   test("intra-machine stealing engages on skewed work") {
     val cfg = base(1).copy(workersPerMachine = 4, chunkSize = 4, batchSize = 4096)
     val m   = hugeRun(Queries.q2, TestGraphs.pl, cfg)
@@ -154,34 +178,22 @@ class EngineSpec extends AnyFunSuite {
   }
 
   // --- Algorithm 4's fetch scope ------------------------------------------------
-  // One batch of K_200 edge rows (a, b) whose rows weigh 199 each, so the
-  // 32,768 expansion bound cuts it into three ranges of 165 rows; every
-  // pivot is remote to machine 0. The outer extend adds c > b, and each
-  // range's output goes straight into a verify on c, as a stolen batch's
-  // pipeline does. Each later range's c's are new to the one-entry LRBU, so
-  // a nested release would let them evict the outer batch's pivots before
-  // its last range reads them.
-  test("a nested extend keeps the outer batch's pivots resident until the outer batch is done") {
-    val n       = 200
-    val pg      = new PartitionedGraph(DataGraph.complete(n), 2)
-    val remote  = (0 until n).filter(pg.owner(_) == 1)
-    def near(x: Int) = remote.minBy(v => math.abs(v - x))
-    val a       = remote.head
-    val batch   = Seq(190, 100, 50).flatMap(b => Seq.fill(165)(Array(a, near(b)))).toArray
-    val outer   = PullExtend(ScanEdge(0, 1, Vector()), Vector(0, 1), 2, verify = false, Vector((1, 2)))
-    val inner   = PullExtend(outer, Vector(2), 1, verify = true, Vector())
-    val cfg     = EngineConfig(machines = 2, workersPerMachine = 2, cacheCapacityEntries = 1)
-    val metrics = new Metrics(2, cfg.net)
-    val pool    = new WorkerPool(0, cfg.workersPerMachine, metrics)
-    val ext     = new Extender(pool, pg, cfg, metrics, () => false)
-    var ranges  = 0
-    var kept    = 0L
-    try ext(new Kernels.Extend(outer), batch, { out =>
-      ranges += 1
-      ext(new Kernels.Extend(inner), out.toArray, kept += _.length)
-    }) finally pool.shutdown()
-    assert(ranges >= 3, "the batch must split into at least three ranges")
-    assert(kept == batch.map(r => (0 until n).count(c => c > r(1) && c != r(0)).toLong).sum)
+  // K_16 on two machines, an LRBU of one entry and a one-column pivot: each
+  // batch seals its remote pivots, so the cache overflows by one batch and
+  // the next batch's fetch evicts the last one's.
+  test("fetch scopes are flat: one batch at a time holds its pivots") {
+    val pg      = new PartitionedGraph(DataGraph.complete(16), 2)
+    val remote  = (0 until 16).filter(pg.owner(_) == 1)
+    val metrics = new Metrics(2, NetworkModel())
+    val adj     = new Adjacency(0, pg, NbrCache(CacheKind.Lrbu, 1), externalStore = false, metrics)
+    val batches = remote.take(4).grouped(2).map(_.map(Array(_)).toArray).toSeq
+    for (batch <- batches) {
+      adj.fetch(batch, Array(0))
+      assertThrows[IllegalStateException](adj.fetch(batch, Array(0)))
+      for (row <- batch) assert(adj.read(row(0)).sameElements(pg.serveNbrs(row(0))))
+      adj.release()
+    }
+    assert(metrics.cacheMisses.get == 4)
   }
 
   test("a two-stage read of a vertex the fetch stage missed throws, naming the vertex") {

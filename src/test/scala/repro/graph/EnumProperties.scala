@@ -58,7 +58,7 @@ object EnumProperties extends Properties("Enum") {
       SimpleExec.count(op, g) == LocalEnum.countSubgraphs(q, g)
     }
 
-  /** A small engine configuration: few machines and workers, tiny batches
+  /** A small engine configuration: 1–5 machines of 1–4 workers, tiny batches
     * and chunks (so the worker pool splits them), DFS/adaptive/BFS queues,
     * every cache design with 1 entry, 8 or the default (the small ones
     * evict, and overflow while a batch holds its pivots sealed), a join
@@ -68,7 +68,7 @@ object EnumProperties extends Properties("Enum") {
     */
   val genEngineConfig: Gen[EngineConfig] = for {
     machines <- Gen.choose(1, 5)
-    workers  <- Gen.choose(1, 2)
+    workers  <- Gen.choose(1, 4)
     batch    <- Gen.choose(1, 64)
     chunk    <- Gen.choose(1, 64)
     queue    <- Gen.oneOf(1L, 64L, Long.MaxValue)
