@@ -2,6 +2,7 @@ package repro.engine
 
 import java.util.concurrent.CyclicBarrier
 import java.util.concurrent.atomic.AtomicReference
+import java.util.concurrent.locks.LockSupport
 import repro.core._
 import scala.collection.mutable.ArrayBuffer
 
@@ -15,7 +16,8 @@ import scala.collection.mutable.ArrayBuffer
   *        (Algorithm 5): small => DFS-style, huge => BFS-style scheduling
   * @param externalStore    BENU-native: all adjacency (even local) is read
   *        through an external KV store — per-access RPC + modelled latency
-  * @param interStealing    inter-machine StealWork (§5.3)
+  * @param interStealing    inter-machine StealWork (§5.3); without it a
+  *        machine leaves a stage as soon as its own work is done
   * @param chunkSize        the least work per intra-machine stealing unit,
   *        in expected output rows (a verify counts each input row as one):
   *        the pool cuts an extend's intersect stage into chunks of at least
@@ -108,8 +110,11 @@ object Engine {
           barrier.await() // stage complete everywhere
         }
       } catch {
-        // The first failure stops the run; the peers it interrupts leave
-        // their barrier, pool or idle wait with exceptions of their own.
+        // The first failure stops the run. `aborted` is set before the peers
+        // are interrupted, so a peer leaves `runStage` as `stopped()` turns
+        // true (the idle wait returns on interrupt without throwing) and
+        // throws at `barrier.await()`, or in its pool wait, as its
+        // interrupt flag is still set.
         case e: Throwable =>
           aborted = true
           if (failure.compareAndSet(null, e))
@@ -143,21 +148,24 @@ final class StageBoard(val stage: Stage, pg: PartitionedGraph, extenders: Array[
   private val idle = new Array[Boolean](k)
   def apply(m: Int): MachineRunner = runners(m)
 
-  /** Mark machine m idle; true when every machine is idle with no own work
-    * left, i.e. the stage is done.
+  /** Mark machine m idle; true when every machine is idle, i.e. the stage
+    * is done. A machine is marked idle only with empty queues and its source
+    * done, and only its own thread adds to its queues (a thief only takes),
+    * so an idle machine has no work left until it marks itself busy.
     */
   def markIdle(m: Int): Boolean = this.synchronized {
     idle(m) = true
-    (0 until k).forall(i => idle(i) && runners(i).ownWorkExhausted)
+    idle.forall(identity)
   }
 
   def markBusy(m: Int): Unit = this.synchronized { idle(m) = false }
 }
 
-/** One machine's execution of one stage: the Algorithm-5 scheduler walk,
-  * source generation and sinks. PULL-EXTENDs run on the machine's
-  * [[Extender]]; an idle machine steals through [[StealWork]], which puts
-  * the batch on its own queue for the same walk to drain.
+/** One machine's execution of one stage: one loop for the Algorithm-5
+  * walk and StealWork, source generation and sinks. PULL-EXTENDs run on the
+  * machine's [[Extender]]; a machine with no work of its own steals through
+  * [[StealWork]], which puts the batch on its own queue for the same loop to
+  * drain.
   */
 final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, extender: Extender,
                           cfg: EngineConfig, metrics: Metrics, stopped: () => Boolean) {
@@ -198,62 +206,40 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
       batch => rows.hasNext && { batch += rows.next(); true }
   }
 
-  def ownWorkExhausted: Boolean = sourceDone && queues.forall(_.isEmpty)
-
   // ---- Algorithm 5 --------------------------------------------------------
+  /** The DFS/BFS-adaptive walk (§5.2) and StealWork (§5.3) as one loop. Each
+    * pass drains the deepest non-empty queue, so an operator runs until its
+    * output queue is full and control falls back to the previous operator
+    * once its input is empty; with every queue empty the source refills the
+    * first one. Only when the source is done too does the machine steal, or,
+    * without inter-machine stealing, leave the stage.
+    */
   def runStage(): Unit =
     while (!stopped()) {
-      if (!runOwnWork() && !(cfg.interStealing && StealWork(m, board, metrics))) {
+      val qi = queues.lastIndexWhere(!_.isEmpty)
+      if (qi >= 0) drainExtend(qi)
+      else if (!sourceDone) generateSource()
+      else if (!cfg.interStealing) return
+      else if (!StealWork(m, board, metrics)) {
         if (board.markIdle(m)) return
-        Thread.sleep(0, 200_000)
+        LockSupport.parkNanos(200_000)
         board.markBusy(m)
       }
     }
 
-  /** The DFS/BFS-adaptive walk: returns true if any batch was processed. */
-  private def runOwnWork(): Boolean = {
-    var worked = false
-    var p      = 0
-    var done   = false
-    while (!done && !stopped()) {
-      if (p == 0) {
-        if (!sourceDone) { worked = generateSource() || worked }
-        if (e == 0) done = true
-        else p = 1
-      } else {
-        val qi = p - 1
-        if (queues(qi).isEmpty) {
-          if ((0 until qi).exists(i => !queues(i).isEmpty) || !sourceDone) p -= 1
-          else (qi + 1 until e).find(i => !queues(i).isEmpty) match {
-            case Some(d) => p = d + 1
-            case None    => done = true
-          }
-        } else {
-          worked = drainExtend(qi) || worked
-          if (p < e) p += 1
-        }
-      }
-    }
-    worked
-  }
-
   /** Run extend qi until its input is empty or its output queue is full;
     * its output goes in batches to the next queue, or to the sink.
     */
-  private def drainExtend(qi: Int): Boolean = {
-    var worked = false
+  private def drainExtend(qi: Int): Unit = {
     def outFull = qi + 1 < e && queues(qi + 1).isFull
     while (!queues(qi).isEmpty && !outFull && !stopped()) {
       val batch = queues(qi).tryDequeue()
-      if (batch != null) {
-        worked = true
+      if (batch != null)
         extender(stage.exts(qi), batch, { out =>
           if (qi + 1 < e) out.grouped(cfg.batchSize).foreach(g => queues(qi + 1).enqueue(g.toArray))
           else sinkRows(out)
         })
-      }
     }
-    worked
   }
 
   private def sinkRows(rows: collection.Seq[Array[Int]]): Unit = stage.sink match {
@@ -265,11 +251,9 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
   /** Generate source batches until the first queue is full (or source ends).
     * With e == 0 rows go straight to the sink.
     */
-  private def generateSource(): Boolean = {
-    var worked = false
-    val batch  = new ArrayBuffer[Array[Int]](cfg.batchSize)
+  private def generateSource(): Unit = {
+    val batch = new ArrayBuffer[Array[Int]](cfg.batchSize)
     def flush(): Unit = if (batch.nonEmpty) {
-      worked = true
       if (e > 0) queues(0).enqueue(batch.toArray) else sinkRows(batch)
       batch.clear()
     }
@@ -278,6 +262,5 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
       if (batch.length >= cfg.batchSize) flush()
     }
     flush()
-    worked
   }
 }

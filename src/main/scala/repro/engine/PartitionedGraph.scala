@@ -12,11 +12,7 @@ final class PartitionedGraph(val g: DataGraph, val k: Int) {
   require(k >= 1, "need at least one machine")
 
   /** Machine owning vertex v. Multiplicative hash so partition != vid range. */
-  def owner(v: Int): Int = {
-    val h = v * 0x9E3779B9
-    val m = (h >>> 16) % k
-    if (m < 0) m + k else m
-  }
+  def owner(v: Int): Int = ((v * 0x9E3779B9) >>> 16) % k
 
   /** Adjacency of a vertex owned by `machine` (guarded local read). */
   def localNbrs(v: Int, machine: Int): Array[Int] = {

@@ -56,6 +56,22 @@ class SchedulerSpec extends AnyFunSuite {
     assert(m.results.get == LocalEnum.countSubgraphs(q, g))
   }
 
+  // Algorithm 5's walk pinned by its footprint. One worker per machine and
+  // no inter-machine stealing: each machine's queues are touched only by its
+  // own thread, so peak memory and RPCs are deterministic.
+  for ((q, name, pins) <- Seq(
+         (Queries.q2, "q2", Seq(1L -> (13128L, 114L), 64L -> (13128L, 110L), 5000L -> (42456L, 107L))),
+         (Queries.q6, "q6", Seq(1L -> (6756L, 35L), 64L -> (6756L, 32L), 5000L -> (11292L, 32L))));
+       (queue, pinned) <- pins)
+    test(s"Algorithm-5 schedule is pinned: $name, queue $queue rows, no inter-machine stealing") {
+      val cfg = EngineConfig(machines = 3, workersPerMachine = 1, batchSize = 256,
+        queueCapacityRows = queue, cacheCapacityEntries = 128, interStealing = false)
+      val plan = Optimiser.optimise(q, cost, OptimiserConfig.huge(3))
+      val m    = Engine.runPlan(plan, q, new PartitionedGraph(g, 3), cfg)
+      assert(m.results.get == LocalEnum.countSubgraphs(q, g))
+      assert((m.peakMemoryBytes, m.rpcs.get) == pinned)
+    }
+
   test("Exp-8 shape: work stealing narrows the busy-time spread") {
     // Skewed work: the power-law graph concentrates wedges on few machines.
     def run(steal: Boolean): Metrics = {

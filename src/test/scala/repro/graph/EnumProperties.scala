@@ -58,10 +58,19 @@ object EnumProperties extends Properties("Enum") {
       SimpleExec.count(op, g) == LocalEnum.countSubgraphs(q, g)
     }
 
-  /** A small engine configuration: 1–5 machines of 1–4 workers, tiny batches
-    * and chunks (so the worker pool splits them), DFS/adaptive/BFS queues,
-    * every cache design with 1 entry, 8 or the default (the small ones
-    * evict, and overflow while a batch holds its pivots sealed), a join
+  /** 1..max with each power-of-two range [2^b, 2^(b+1)) equally likely, so
+    * small values stay common under a large bound.
+    */
+  def logUniform(max: Long): Gen[Long] = for {
+    bits <- Gen.choose(0, 63 - java.lang.Long.numberOfLeadingZeros(max))
+    n    <- Gen.choose(1L << bits, math.min(max, (2L << bits) - 1))
+  } yield n
+
+  /** A small engine configuration: 1–5 machines of 1–4 workers, batches of
+    * 1–4096 rows (mostly small, so the worker pool splits them), chunks of
+    * 1–64, queues of 1–10⁶ rows or unbounded (DFS to BFS), every cache
+    * design with 1 entry, 8 or the default (the small ones evict, and
+    * overflow while a batch holds its pivots sealed), a join
     * spill threshold of 1 row (every row its own run, so the merge takes
     * many runs), 4 rows or the default, and the external store and
     * inter-machine stealing each on or off.
@@ -69,9 +78,9 @@ object EnumProperties extends Properties("Enum") {
   val genEngineConfig: Gen[EngineConfig] = for {
     machines <- Gen.choose(1, 5)
     workers  <- Gen.choose(1, 4)
-    batch    <- Gen.choose(1, 64)
+    batch    <- logUniform(4096).map(_.toInt)
     chunk    <- Gen.choose(1, 64)
-    queue    <- Gen.oneOf(1L, 64L, Long.MaxValue)
+    queue    <- Gen.frequency(4 -> logUniform(1000000L), 1 -> Gen.const(Long.MaxValue))
     cache    <- Gen.oneOf(CacheKind.all)
     capacity <- Gen.oneOf(1, 8, EngineConfig().cacheCapacityEntries)
     spill    <- Gen.oneOf(1, 4, EngineConfig().spillThresholdRows)
