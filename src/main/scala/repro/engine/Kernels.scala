@@ -48,38 +48,110 @@ object Kernels {
     * conditions hold; otherwise the row is emitted once per candidate that
     * differs from the columns of the extend's injectivity pairs and meets
     * the conditions.
+    *
+    * A binding extend's conditions on its target bound every candidate: a
+    * condition target < b caps it below row(b), and a < target lifts it
+    * above row(a). They are compiled to two column arrays, and each row
+    * intersects only the sub-range of every list that lies in the allowed
+    * id range [lo, hi), found by binary search. A single-pivot extend (every
+    * star unit's extension) walks its one sub-range without intersecting.
+    * The candidates still pass the injectivity and condition checks, so the
+    * output is the full intersection's, filtered.
+    *
+    * Every pivot list is read before the range is known, in pivot order,
+    * even when the range turns out empty: with a per-access cache a read is
+    * an access that pulls or hits (BENU's external store counts each one),
+    * so skipping reads would change the modelled store traffic, not only
+    * the time.
     */
   final class Extend(val op: PullExtend) {
     val pivotCols: Array[Int] = op.ext.map(op.input.col).toArray
     private val targetCol     = if (op.verify) op.input.col(op.target) else -1
     private val distinctCols  = op.distinctPairs.map(p => op.input.col(p._1)).toArray
     private val conds         = new Conds(op)
+    /** Input columns c with a condition "candidate < row(c)", resp. "> row(c)". */
+    private val belowCols =
+      if (op.verify) Array.empty[Int]
+      else op.conds.collect { case (op.target, b) => op.input.col(b) }.toArray
+    private val aboveCols =
+      if (op.verify) Array.empty[Int]
+      else op.conds.collect { case (a, op.target) => op.input.col(a) }.toArray
 
     /** Append the results of `row` to `out`; `nbrsOf` returns a pivot's
       * sorted neighbour list (null or empty when it has none).
       */
     def apply(row: Array[Int], nbrsOf: Int => Array[Int], out: ArrayBuffer[Array[Int]]): Unit = {
-      val lists = new Array[Array[Int]](pivotCols.length)
-      var smallest: Array[Int] = null
-      var i = 0
-      while (i < pivotCols.length) {
+      val first = nbrsOf(row(pivotCols(0)))
+      if (first == null || first.isEmpty) return
+      val n     = pivotCols.length
+      val lists = if (n == 1) null else new Array[Array[Int]](n)
+      var i = 1
+      while (i < n) {
         val ns = nbrsOf(row(pivotCols(i)))
         if (ns == null || ns.isEmpty) return
         lists(i) = ns
-        if (smallest == null || ns.length < smallest.length) smallest = ns
         i += 1
       }
-      var cands = smallest
+      val lo = lowestId(row)
+      val hi = idLimit(row)
+      if (lo >= hi) return
+      if (n == 1) { emit(row, first, start(first, lo), end(first, hi), out); return }
+      lists(0) = first
+      // Each list's sub-range as (start, end) at (2i, 2i + 1).
+      val range    = new Array[Int](2 * n)
+      var smallest = 0
       i = 0
-      while (i < lists.length && cands.nonEmpty) {
-        if (lists(i) ne smallest) cands = Intersect.sorted(cands, lists(i))
+      while (i < n) {
+        range(2 * i) = start(lists(i), lo)
+        range(2 * i + 1) = end(lists(i), hi)
+        if (range(2 * i + 1) - range(2 * i) < range(2 * smallest + 1) - range(2 * smallest)) smallest = i
         i += 1
       }
+      var cands = lists(smallest)
+      var cFrom = range(2 * smallest)
+      var cTo   = range(2 * smallest + 1)
+      i = 0
+      while (i < n && cFrom < cTo) {
+        if (i != smallest) {
+          cands = Intersect.sorted(cands, cFrom, cTo, lists(i), range(2 * i), range(2 * i + 1))
+          cFrom = 0
+          cTo = cands.length
+        }
+        i += 1
+      }
+      emit(row, cands, cFrom, cTo, out)
+    }
+
+    /** The least id the target's conditions allow a candidate of `row`. */
+    private[engine] def lowestId(row: Array[Int]): Int = {
+      var lo = Int.MinValue
+      var i  = 0
+      while (i < aboveCols.length) { lo = math.max(lo, row(aboveCols(i)) + 1); i += 1 }
+      lo
+    }
+
+    /** The least id above every id the target's conditions allow. */
+    private[engine] def idLimit(row: Array[Int]): Int = {
+      var hi = Int.MaxValue
+      var i  = 0
+      while (i < belowCols.length) { hi = math.min(hi, row(belowCols(i))); i += 1 }
+      hi
+    }
+
+    /** The sub-range [start, end) of a list that lies in [lo, hi). */
+    private def start(ns: Array[Int], lo: Int): Int =
+      if (aboveCols.length == 0) 0 else Intersect.lowerBound(ns, lo)
+    private def end(ns: Array[Int], hi: Int): Int =
+      if (belowCols.length == 0) ns.length else Intersect.lowerBound(ns, hi)
+
+    /** The row's results for the candidates `cands(from until to)`. */
+    private def emit(row: Array[Int], cands: Array[Int], from: Int, to: Int,
+                     out: ArrayBuffer[Array[Int]]): Unit =
       if (op.verify) {
-        if (java.util.Arrays.binarySearch(cands, row(targetCol)) >= 0 && conds.ok(row)) out += row
+        if (java.util.Arrays.binarySearch(cands, from, to, row(targetCol)) >= 0 && conds.ok(row)) out += row
       } else {
-        i = 0
-        while (i < cands.length) {
+        var i = from
+        while (i < to) {
           val v = cands(i)
           if (distinctFrom(row, distinctCols, v)) {
             val nr = java.util.Arrays.copyOf(row, row.length + 1)
@@ -89,7 +161,6 @@ object Kernels {
           i += 1
         }
       }
-    }
   }
 
   /** PUSH-JOIN (§4.3) on one (left, right) row pair with equal join keys:

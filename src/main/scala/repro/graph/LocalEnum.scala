@@ -101,19 +101,28 @@ object LocalEnum {
   }
 }
 
-/** Sorted-array intersection, shared by every engine. */
+/** Sorted-array intersection, shared by every engine. Lists hold distinct
+  * ids in ascending order; a list may be cut to an index range [from, to),
+  * which is how a PULL-EXTEND intersects only the ids its symmetry
+  * conditions allow.
+  */
 object Intersect {
-  def sorted(a: Array[Int], b: Array[Int]): Array[Int] = {
+  def sorted(a: Array[Int], b: Array[Int]): Array[Int] = sorted(a, 0, a.length, b, 0, b.length)
+
+  /** The ids of `a(aFrom until aTo)` that are also in `b(bFrom until bTo)`. */
+  def sorted(a: Array[Int], aFrom: Int, aTo: Int, b: Array[Int], bFrom: Int, bTo: Int): Array[Int] = {
+    val na = aTo - aFrom
+    val nb = bTo - bFrom
     // Galloping path for skewed pairs: binary-search each element of the
-    // small list in the big one — O(small · log big) instead of
+    // small range in the big one — O(small · log big) instead of
     // O(small + big), which matters when a hub's 20k-neighbour list meets a
     // short one (power-law graphs hit this constantly).
-    if (a.length.toLong * 16 < b.length) return gallop(a, b)
-    if (b.length.toLong * 16 < a.length) return gallop(b, a)
+    if (na.toLong * 16 < nb) return gallop(a, aFrom, aTo, b, bFrom, bTo)
+    if (nb.toLong * 16 < na) return gallop(b, bFrom, bTo, a, aFrom, aTo)
     val out = new scala.collection.mutable.ArrayBuilder.ofInt
-    out.sizeHint(math.min(a.length, b.length))
-    var i = 0; var j = 0
-    while (i < a.length && j < b.length) {
+    out.sizeHint(math.min(na, nb))
+    var i = aFrom; var j = bFrom
+    while (i < aTo && j < bTo) {
       val x = a(i); val y = b(j)
       if (x == y) { out += x; i += 1; j += 1 }
       else if (x < y) i += 1
@@ -122,18 +131,25 @@ object Intersect {
     out.result()
   }
 
-  /** Intersect a small sorted array with a big one via binary search. */
-  private def gallop(small: Array[Int], big: Array[Int]): Array[Int] = {
+  /** Intersect a small sorted range with a big one via binary search. */
+  private def gallop(small: Array[Int], sFrom: Int, sTo: Int,
+                     big: Array[Int], bFrom: Int, bTo: Int): Array[Int] = {
     val out = new scala.collection.mutable.ArrayBuilder.ofInt
-    out.sizeHint(small.length)
-    var from = 0
-    var i    = 0
-    while (i < small.length && from < big.length) {
-      val p = java.util.Arrays.binarySearch(big, from, big.length, small(i))
+    out.sizeHint(sTo - sFrom)
+    var from = bFrom
+    var i    = sFrom
+    while (i < sTo && from < bTo) {
+      val p = java.util.Arrays.binarySearch(big, from, bTo, small(i))
       if (p >= 0) { out += small(i); from = p + 1 }
       else from = -(p + 1)
       i += 1
     }
     out.result()
+  }
+
+  /** The index of the first id in sorted `a` that is at least `id`. */
+  def lowerBound(a: Array[Int], id: Int): Int = {
+    val p = java.util.Arrays.binarySearch(a, id)
+    if (p >= 0) p else -(p + 1)
   }
 }

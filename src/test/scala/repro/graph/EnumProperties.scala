@@ -113,11 +113,48 @@ object EnumProperties extends Properties("Enum") {
   property("engine equals reference count on random inputs and configs (BiGJoin plan)") =
     engineMatchesReference((q, _, _) => LogicalPlans.bigJoin(q))
 
+  /** A pair of sorted id lists: either both drawn from 0..50 (the merge
+    * path), or, in either order, one more than 16× the other (the gallop
+    * path) with part of the short list taken from the long one.
+    */
+  val genListPair: Gen[(Array[Int], Array[Int])] = {
+    def sortedArray(ids: scala.collection.Seq[Int]): Array[Int] = ids.distinct.sorted.toArray
+    val balanced = for {
+      a <- Gen.listOf(Gen.choose(0, 50))
+      b <- Gen.listOf(Gen.choose(0, 50))
+    } yield (sortedArray(a), sortedArray(b))
+    val skewed = for {
+      n     <- Gen.choose(0, 12)
+      big   <- Gen.pick(16 * n + 1 + n, 0 to 1000).map(sortedArray)
+      own   <- Gen.listOfN(n, Gen.choose(0, 1000))
+      mine  <- Gen.choose(0, n).flatMap(Gen.pick(_, big.toSeq))
+      swap  <- Gen.oneOf(false, true)
+    } yield {
+      val small = sortedArray(mine.toSeq ++ own.take(n - mine.size))
+      if (swap) (big, small) else (small, big)
+    }
+    Gen.oneOf(balanced, skewed)
+  }
+
   property("sorted intersection equals set intersection") =
-    Prop.forAll(Gen.listOf(Gen.choose(0, 50)), Gen.listOf(Gen.choose(0, 50))) { (a, b) =>
-      val sa = a.distinct.sorted.toArray
-      val sb = b.distinct.sorted.toArray
-      Intersect.sorted(sa, sb).toSet == (sa.toSet & sb.toSet)
+    Prop.forAll(genListPair) { case (a, b) =>
+      Intersect.sorted(a, b).toSeq == (a.toSet & b.toSet).toSeq.sorted
+    }
+
+  property("ranged intersection equals set intersection within [lo, hi)") =
+    Prop.forAll(genListPair, Gen.choose(-1, 1001), Gen.choose(-1, 1001)) { case ((a, b), x, y) =>
+      val (lo, hi) = (x min y, x max y)
+      val got = Intersect.sorted(a, Intersect.lowerBound(a, lo), Intersect.lowerBound(a, hi),
+                                 b, Intersect.lowerBound(b, lo), Intersect.lowerBound(b, hi))
+      got.toSeq == (a.toSet & b.toSet).filter(v => lo <= v && v < hi).toSeq.sorted
+    }
+
+  property("ranged intersection equals set intersection of any two index ranges") =
+    Prop.forAll(genListPair, Gen.listOfN(4, Gen.choose(0.0, 1.0))) { case ((a, b), cuts) =>
+      def range(l: Array[Int], x: Double, y: Double) = ((l.length * (x min y)).toInt, (l.length * (x max y)).toInt)
+      val (af, at) = range(a, cuts(0), cuts(1))
+      val (bf, bt) = range(b, cuts(2), cuts(3))
+      Intersect.sorted(a, af, at, b, bf, bt).toSeq == (a.slice(af, at).toSet & b.slice(bf, bt).toSet).toSeq.sorted
     }
 
   property("generated graphs are well-formed") =
