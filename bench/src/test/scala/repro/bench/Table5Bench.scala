@@ -7,8 +7,9 @@ import repro.tables.Table5
 /** Table 5 — the cache-design ablation: LRBU vs LRBU-Copy / LRBU-Lock /
   * LRU-Inf / Cncr-LRU on q1–q3. The locks, copies, recency updates and
   * per-access fetches are real (JVM threads contending on the shared
-  * cache), so the ordering is measured, not modelled. Per-cell we take the
-  * best of two repetitions after a warm-up to suppress JIT/GC noise.
+  * cache), so the ordering is measured, not modelled. `Table5.run` takes
+  * each cell's best of three repetitions after a warm-up to suppress
+  * JIT/GC noise.
   */
 class Table5Bench extends BenchBase {
 

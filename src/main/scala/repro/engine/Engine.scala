@@ -236,9 +236,21 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
       val batch = queues(qi).tryDequeue()
       if (batch != null)
         extender(stage.exts(qi), batch, { out =>
-          if (qi + 1 < e) out.grouped(cfg.batchSize).foreach(g => queues(qi + 1).enqueue(g.toArray))
+          if (qi + 1 < e) enqueueBatches(out, queues(qi + 1))
           else sinkRows(out)
         })
+    }
+  }
+
+  /** Cut `rows` into batches of `batchSize` rows, in order. */
+  private def enqueueBatches(rows: ArrayBuffer[Array[Int]], q: BatchQueue): Unit = {
+    var from = 0
+    while (from < rows.length) {
+      val batch = new Array[Array[Int]](math.min(cfg.batchSize, rows.length - from))
+      var i = 0
+      while (i < batch.length) { batch(i) = rows(from + i); i += 1 }
+      q.enqueue(batch)
+      from += batch.length
     }
   }
 

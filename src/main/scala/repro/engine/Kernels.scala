@@ -190,7 +190,7 @@ object Kernels {
     */
   final class IntSet(initialCapacity: Int = 1024) {
     private var mask  = Integer.highestOneBit(math.max(16, initialCapacity) * 2 - 1) * 2 - 1
-    private var table = Array.fill(mask + 1)(-1)
+    private var table = IntSet.empty(mask + 1)
     private var n     = 0
 
     def size: Int = n
@@ -215,11 +215,25 @@ object Kernels {
     private def grow(): Unit = {
       val old = table
       mask = mask * 2 + 1
-      table = Array.fill(mask + 1)(-1)
+      table = IntSet.empty(mask + 1)
       n = 0
-      old.foreach(v => if (v != -1) add(v))
+      var i = 0
+      while (i < old.length) { if (old(i) != -1) add(old(i)); i += 1 }
     }
 
-    def foreach(f: Int => Unit): Unit = table.foreach(v => if (v != -1) f(v))
+    /** Every member, in table order. */
+    def foreach(f: Int => Unit): Unit = {
+      var i = 0
+      while (i < table.length) { if (table(i) != -1) f(table(i)); i += 1 }
+    }
+  }
+
+  object IntSet {
+    /** An `Int` table of `len` slots, each -1 (empty). */
+    def empty(len: Int): Array[Int] = {
+      val t = new Array[Int](len)
+      java.util.Arrays.fill(t, -1)
+      t
+    }
   }
 }

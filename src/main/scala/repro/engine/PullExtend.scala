@@ -36,11 +36,21 @@ final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
   /** True from a batch's [[fetch]] until its [[release]]. */
   private var scopeOpen = false
 
+  /** Which machines own a vertex of the current pull round. */
+  private val ownerSeen = new Array[Boolean](pg.k)
+
   /** The fetch stage of a two-stage cache (single writer: the machine's
     * scheduler thread): make every remote pivot of `batch` resident and
     * sealed, and open the batch's scope that [[release]] closes. Scopes do
     * not nest: one batch at a time holds its pivots. A per-access cache
     * (Cncr-LRU) skips it and pulls in [[read]].
+    *
+    * The remote pivots are collected row by row, column by column, into a
+    * [[Kernels.IntSet]]; a pivot equal to the previous row's in the same
+    * column is already there and is skipped. They are then sealed (hits)
+    * or pulled and sealed (misses) in the set's table order, which fixes
+    * the LRBU order the batch leaves behind. The misses are one round of
+    * one bulk RPC per owner.
     */
   def fetch(batch: Array[Array[Int]], pivotCols: Array[Int]): Unit = if (cache.twoStage) {
     if (scopeOpen) throw new IllegalStateException(s"machine $m fetched a batch before releasing the last")
@@ -49,41 +59,52 @@ final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
     val remote = new Kernels.IntSet(batch.length)
     var b = 0
     while (b < batch.length) {
-      val row = batch(b)
+      val row  = batch(b)
+      val last = if (b == 0) null else batch(b - 1)
       var i = 0
       while (i < pivotCols.length) {
-        val v = row(pivotCols(i))
-        if (!isLocal(v)) remote.add(v)
+        val c = pivotCols(i)
+        val v = row(c)
+        if ((last == null || last(c) != v) && !isLocal(v)) remote.add(v)
         i += 1
       }
       b += 1
     }
-    val missed = new ArrayBuffer[Int]()
-    var hits   = 0L
+    val missed  = new Array[Int](remote.size)
+    var nMissed = 0
+    var hits    = 0L
     remote.foreach { v =>
       if (cache.contains(v)) { cache.seal(v); hits += 1 }
-      else missed += v
+      else { missed(nMissed) = v; nMissed += 1 }
     }
     metrics.cacheHits.addAndGet(hits)
-    chargeRound(missed.length, missed.iterator.map(pg.owner).toSet.size)
-    for (v <- missed) {
+    java.util.Arrays.fill(ownerSeen, false)
+    var owners = 0
+    var j = 0
+    while (j < nMissed) {
+      val v = missed(j)
+      val o = pg.owner(v)
+      if (!ownerSeen(o)) { ownerSeen(o) = true; owners += 1 }
       pull(v)
       cache.seal(v) // every vertex used by this batch stays resident
+      j += 1
     }
+    chargeRound(nMissed, owners)
     metrics.fetchNanos.addAndGet(System.nanoTime() - t0)
   }
 
-  /** N(v) in the intersect stage, called by all workers. After [[fetch]] a
-    * two-stage cache is read lock-free, and a vertex it lacks means the
-    * fetch stage broke its contract; a per-access cache pulls each miss
-    * here, one round per vertex.
+  /** N(v) in the intersect stage, called by all workers; `owner(v)` is
+    * computed once per read. After [[fetch]] a two-stage cache is read
+    * lock-free, and a vertex it lacks means the fetch stage broke its
+    * contract; a per-access cache pulls each miss here, one round per
+    * vertex.
     */
   val read: Int => Array[Int] =
-    if (cache.twoStage) v => if (isLocal(v)) pg.localNbrs(v, m) else cache.get(v) match {
+    if (cache.twoStage) v => if (isLocal(v)) pg.g.neighbours(v) else cache.get(v) match {
       case null => throw new IllegalStateException(s"N($v) is not resident on machine $m after the fetch stage")
       case ns   => ns
     }
-    else v => if (isLocal(v)) pg.localNbrs(v, m) else cache.get(v) match {
+    else v => if (isLocal(v)) pg.g.neighbours(v) else cache.get(v) match {
       case null => chargeRound(1, 1); pull(v)
       case ns   => metrics.cacheHits.incrementAndGet(); ns
     }
@@ -170,15 +191,24 @@ final class Extender(pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConfig,
     }
   }
 
-  private def expansion(ex: Kernels.Extend, batch: Array[Array[Int]]): Array[Int] =
-    if (ex.op.verify) Array.fill(batch.length)(1)
-    else batch.map { row =>
-      var minDeg = Int.MaxValue
-      var pc = 0
-      while (pc < ex.pivotCols.length) {
-        minDeg = math.min(minDeg, pg.g.degree(row(ex.pivotCols(pc)))) // degree = graph metadata
-        pc += 1
+  private def expansion(ex: Kernels.Extend, batch: Array[Array[Int]]): Array[Int] = {
+    val weights = new Array[Int](batch.length)
+    if (ex.op.verify) java.util.Arrays.fill(weights, 1)
+    else {
+      val cols = ex.pivotCols
+      var b = 0
+      while (b < batch.length) {
+        val row    = batch(b)
+        var minDeg = Int.MaxValue
+        var pc     = 0
+        while (pc < cols.length) {
+          minDeg = math.min(minDeg, pg.g.degree(row(cols(pc)))) // degree = graph metadata
+          pc += 1
+        }
+        weights(b) = minDeg
+        b += 1
       }
-      minDeg
     }
+    weights
+  }
 }

@@ -42,19 +42,19 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
                   cancelled: () => Boolean)
                  (process: (Array[Int], ArrayBuffer[Array[Int]]) => Unit): ArrayBuffer[Array[Int]] = {
     // Chunk c is rows [cuts(c), cuts(c + 1)).
-    val cuts = ArrayBuffer(0)
-    var acc  = 0L
-    var i    = 0
+    val cuts    = new Array[Int](rows.length + 1)
+    var nChunks = 0
+    var acc     = 0L
+    var i       = 0
     while (i < rows.length) {
       acc += weight(i)
       i += 1
-      if (acc >= chunkWeight || i == rows.length) { cuts += i; acc = 0L }
+      if (acc >= chunkWeight || i == rows.length) { nChunks += 1; cuts(nChunks) = i; acc = 0L }
     }
     def runRows(from: Int, until: Int, out: ArrayBuffer[Array[Int]], stop: => Boolean): Unit = {
       var r = from
       while (r < until && !stop) { process(rows(r), out); r += 1 }
     }
-    val nChunks = cuts.length - 1
     if (nWorkers == 1 || nChunks <= 1) {
       val out = new ArrayBuffer[Array[Int]]()
       runRows(0, rows.length, out, cancelled())

@@ -2,8 +2,74 @@ package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
 
+/** Algorithm 3 as a boxed reference model: `freeSet` iterates in the
+  * vertex order (head = smallest = eviction candidate), `sealedSet` holds
+  * S_sealed in seal order.
+  */
+final class ReferenceLrbu(capacity: Int) {
+  private val map       = new java.util.HashMap[Integer, Array[Int]]()
+  private val freeSet   = new java.util.LinkedHashMap[Integer, java.lang.Boolean]()
+  private val sealedSet = new java.util.ArrayDeque[Integer]()
+
+  def get(v: Int): Array[Int]   = map.get(v)
+  def contains(v: Int): Boolean = map.containsKey(v)
+
+  def insert(v: Int, nbrs: Array[Int]): Unit = {
+    if (map.size() >= capacity && !freeSet.isEmpty) {
+      val it     = freeSet.keySet().iterator()
+      val victim = it.next()
+      it.remove()
+      map.remove(victim)
+    }
+    map.put(v, nbrs)
+    freeSet.put(v, java.lang.Boolean.TRUE)
+  }
+
+  def seal(v: Int): Unit = if (freeSet.remove(v) != null) sealedSet.add(v)
+
+  def release(): Unit =
+    while (!sealedSet.isEmpty) {
+      val v = sealedSet.poll()
+      if (map.containsKey(v)) { freeSet.remove(v); freeSet.put(v, java.lang.Boolean.TRUE) }
+    }
+
+  def size: Int = map.size()
+}
+
 class CachesSpec extends AnyFunSuite {
   private def nb(x: Int) = Array(x)
+
+  // Random sequences of Algorithm 3's operations, with inserts of absent
+  // vertices only (as the fetch stage calls it). Capacities are mostly 1-8
+  // and vertex ids few, so probe chains wrap around the small index and
+  // deletes shift entries back across the wrap.
+  test("LRBU, LRBU-Copy and LRBU-Lock match Algorithm 3's reference model") {
+    for (seed <- 0 until 300; kind <- Seq(CacheKind.Lrbu, CacheKind.LrbuCopy, CacheKind.LrbuLock)) {
+      val rnd      = new scala.util.Random(seed)
+      val capacity = if (rnd.nextInt(4) == 0) 9 + rnd.nextInt(120) else 1 + rnd.nextInt(8)
+      val ids      = 2 + rnd.nextInt(3 * capacity + 8)
+      val lists    = Array.tabulate(ids)(v => Array(v, 2 * v))
+      val c        = NbrCache(kind, capacity)
+      val ref      = new ReferenceLrbu(capacity)
+      for (step <- 0 until 400) {
+        val v = rnd.nextInt(ids)
+        rnd.nextInt(12) match {
+          case 0 | 1 | 2 | 3 => if (!ref.contains(v)) { c.insert(v, lists(v)); ref.insert(v, lists(v)) }
+          case 4 | 5 | 6 | 7 => c.seal(v); ref.seal(v)
+          case 8             => c.release(); ref.release()
+          case _             => assert(c.contains(v) == ref.contains(v)); c.get(v)
+        }
+        val at = s"$kind, seed $seed, capacity $capacity, step $step"
+        assert(c.size == ref.size, at)
+        for (u <- 0 until ids) {
+          assert(c.contains(u) == ref.contains(u), s"$at: contains($u)")
+          val (got, want) = (c.get(u), ref.get(u))
+          if (kind == CacheKind.Lrbu) assert(got eq want, s"$at: get($u)")
+          else assert(want == null && got == null || (got ne want) && got.sameElements(want), s"$at: get($u)")
+        }
+      }
+    }
+  }
 
   test("LRBU evicts the least-recent-batch (smallest order) vertex") {
     val c = new LrbuCache(2, copyOnGet = false, locked = false)

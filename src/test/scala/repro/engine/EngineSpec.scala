@@ -196,6 +196,53 @@ class EngineSpec extends AnyFunSuite {
     assert(metrics.cacheMisses.get == 4)
   }
 
+  // K_40 on three machines, read from machine 0. Three remote pivots are
+  // cached by an earlier batch (hits) and four are not (misses, two owned
+  // by each other machine); rows repeat pivots of the row before in the
+  // same column, and a miss recurs after a gap. The capacity is exactly
+  // the seven remote pivots, so after release() each fresh insert evicts
+  // one of them, in the order the fetch stage sealed them.
+  test("the fetch stage pulls each remote pivot once and seals them in table order") {
+    val n       = 40
+    val pg      = new PartitionedGraph(DataGraph.complete(n), 3)
+    def ofOwner(o: Int) = (0 until n).filter(pg.owner(_) == o)
+    val Seq(l0, l1)     = ofOwner(0).take(2)
+    val Seq(h0, h1, h2) = ofOwner(1).take(3)
+    val Seq(m0, m1)     = ofOwner(1).slice(3, 5)
+    val Seq(m2, m3)     = ofOwner(2).take(2)
+    val fresh           = ofOwner(1).drop(5) ++ ofOwner(2).drop(2)
+    val metrics = new Metrics(3, NetworkModel())
+    val cache   = NbrCache(CacheKind.Lrbu, 7)
+    val adj     = new Adjacency(0, pg, cache, externalStore = false, metrics)
+    adj.fetch(Array(Array(h0), Array(h1), Array(h2)), Array(0))
+    adj.release()
+    val (hits0, misses0, rpcs0, bytes0) =
+      (metrics.cacheHits.get, metrics.cacheMisses.get, metrics.rpcs.get, metrics.bytesPulled.get)
+    val batch = Array(
+      Array(h0, m0), Array(h0, m1), Array(m2, m1), Array(m2, l0), Array(h1, l0),
+      Array(m3, h2), Array(m3, h2), Array(l1, m0), Array(h0, h1))
+    adj.fetch(batch, Array(0, 1))
+    for (row <- batch; v <- row) assert(adj.read(v).length == n - 1, s"N($v)")
+    assert(metrics.cacheHits.get - hits0 == 3)
+    assert(metrics.cacheMisses.get - misses0 == 4)
+    assert(metrics.rpcs.get - rpcs0 == 2, "one bulk RPC per owner of the misses")
+    assert(metrics.bytesPulled.get - bytes0 == 4L * (4 + 4 * (n - 1)))
+    assert(cache.size == 7)
+    adj.release()
+    // Seal order: the hits, then the misses, each in the set's table order.
+    val set = new Kernels.IntSet(batch.length)
+    Seq(h0, m0, m1, m2, h1, m3, h2).foreach(set.add)
+    val tableOrder = scala.collection.mutable.ArrayBuffer[Int]()
+    set.foreach(tableOrder += _)
+    val (hitOrder, missOrder) = tableOrder.partition(Set(h0, h1, h2))
+    val evicted = fresh.take(7).map { v =>
+      val before = tableOrder.filter(cache.contains)
+      cache.insert(v, pg.serveNbrs(v))
+      before.filterNot(cache.contains)
+    }
+    assert(evicted == (hitOrder ++ missOrder).map(Seq(_)))
+  }
+
   test("a two-stage read of a vertex the fetch stage missed throws, naming the vertex") {
     val pg  = new PartitionedGraph(DataGraph.complete(8), 2)
     val v   = (0 until 8).find(pg.owner(_) == 1).get
