@@ -41,8 +41,8 @@ object SimpleExec {
     case j: PushJoin =>
       val spec = new JoinSpec(j, EngineConfig(machines = 1), new Metrics(1))
       try {
-        foreach(j.left, g)(spec.push(0, 0, _))
-        foreach(j.right, g)(spec.push(0, 1, _))
+        foreach(j.left, g)(row => spec.route(0, 0, Array(row)))
+        foreach(j.right, g)(row => spec.route(0, 1, Array(row)))
         spec.resultIterator(0).foreach(f)
       } finally spec.clear()
   }

@@ -165,7 +165,9 @@ final class StageBoard(val stage: Stage, pg: PartitionedGraph, extenders: Array[
   * walk and StealWork, source generation and sinks. PULL-EXTENDs run on the
   * machine's [[Extender]]; a machine with no work of its own steals through
   * [[StealWork]], which puts the batch on its own queue for the same loop to
-  * drain.
+  * drain. A join source sorts and merges the machine's join parts on the
+  * extender's [[WorkerPool]], and a join sink routes each output chunk with
+  * one [[JoinSpec.route]].
   */
 final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, extender: Extender,
                           cfg: EngineConfig, metrics: Metrics, stopped: () => Boolean) {
@@ -174,37 +176,6 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
   private val e     = stage.exts.length
   val queues: Array[BatchQueue] =
     Array.fill(e)(new BatchQueue(cfg.queueCapacityRows, m, metrics))
-
-  // ---- source -------------------------------------------------------------
-  private var sourceDone = false
-  /** Append the source's next unit to a batch — one local vertex's scanned
-    * edges, or one join result row — or return false once it is exhausted.
-    */
-  private val nextSource: ArrayBuffer[Array[Int]] => Boolean = stage.source match {
-    case ScanSrc(conds) =>
-      // Local vertices in multiplicative-hash order: with hub-first vertex
-      // ids (our generators place hubs at low ids) a sequential scan would
-      // start with the most expensive pivots; hashing spreads them evenly,
-      // which is what a random partition of a real graph looks like.
-      // Lazy: the sort runs on the machine thread, not the board's.
-      lazy val local = pg.localVertices(m).toArray.sortBy(v => v * 0x9E3779B9)
-      var next  = 0
-      batch => next < local.length && {
-        val u  = local(next)
-        val ns = pg.localNbrs(u, m)
-        var i  = 0
-        while (i < ns.length) {
-          val row = Array(u, ns(i))
-          if (conds.ok(row)) batch += row
-          i += 1
-        }
-        next += 1
-        true
-      }
-    case JoinSrc(spec) =>
-      lazy val rows = spec.resultIterator(m)
-      batch => rows.hasNext && { batch += rows.next(); true }
-  }
 
   // ---- Algorithm 5 --------------------------------------------------------
   /** The DFS/BFS-adaptive walk (§5.2) and StealWork (§5.3) as one loop. Each
@@ -254,25 +225,68 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
     }
   }
 
-  private def sinkRows(rows: collection.Seq[Array[Int]]): Unit = stage.sink match {
+  private def sinkRows(rows: collection.IndexedSeq[Array[Int]]): Unit = stage.sink match {
     case CountSink            => metrics.results.addAndGet(rows.length)
-    case JoinSink(spec, side) => rows.foreach(spec.push(m, side, _))
+    case JoinSink(spec, side) => spec.route(m, side, rows)
   }
 
   // ---- sources ------------------------------------------------------------
-  /** Generate source batches until the first queue is full (or source ends).
-    * With e == 0 rows go straight to the sink.
+  private var sourceDone = false
+  private def firstFull  = e > 0 && queues(0).isFull
+
+  /** Fill the first queue from the source (with e == 0 rows go straight to
+    * the sink) until it is full or the source is exhausted.
     */
-  private def generateSource(): Unit = {
-    val batch = new ArrayBuffer[Array[Int]](cfg.batchSize)
-    def flush(): Unit = if (batch.nonEmpty) {
-      if (e > 0) queues(0).enqueue(batch.toArray) else sinkRows(batch)
-      batch.clear()
-    }
-    while (!sourceDone && !(e > 0 && queues(0).isFull) && !stopped()) {
-      sourceDone = !nextSource(batch)
-      if (batch.length >= cfg.batchSize) flush()
-    }
-    flush()
+  private val generateSource: () => Unit = stage.source match {
+    case ScanSrc(conds) =>
+      // Local vertices in multiplicative-hash order: with hub-first vertex
+      // ids (our generators place hubs at low ids) a sequential scan would
+      // start with the most expensive pivots; hashing spreads them evenly,
+      // which is what a random partition of a real graph looks like.
+      // Lazy: the sort runs on the machine thread, not the board's.
+      lazy val local = pg.localVertices(m).toArray.sortBy(v => v * 0x9E3779B9)
+      var next = 0
+      () => {
+        val batch = new ArrayBuffer[Array[Int]](cfg.batchSize)
+        def flush(): Unit = if (batch.nonEmpty) {
+          if (e > 0) queues(0).enqueue(batch.toArray) else sinkRows(batch)
+          batch.clear()
+        }
+        // One local vertex's scanned edges at a time.
+        while (next < local.length && !firstFull && !stopped()) {
+          val u  = local(next)
+          val ns = pg.localNbrs(u, m)
+          var i  = 0
+          while (i < ns.length) {
+            val row = Array(u, ns(i))
+            if (conds.ok(row)) batch += row
+            i += 1
+          }
+          next += 1
+          if (batch.length >= cfg.batchSize) flush()
+        }
+        flush()
+        sourceDone = next == local.length
+      }
+    case JoinSrc(spec) =>
+      // The join parts run on the machine's workers. A part's merge is
+      // built, and so its two sides are sorted, by the worker that first
+      // reads it. A refill reads at most maxExpansion / parts rows from
+      // each open part, so no more in all than one extend range may add.
+      val merges  = new Array[Iterator[Array[Int]]](spec.parts)
+      var open    = Vector.tabulate(spec.parts)(Array(_))
+      val perPart = math.max(1L, extender.maxExpansion / spec.parts)
+      () =>
+        while (open.nonEmpty && !firstFull && !stopped()) {
+          val rows = extender.pool.run(open, 1, stopped) { (part, out) =>
+            val p = part(0)
+            if (merges(p) == null) merges(p) = spec.partIterator(m, p)
+            var n = 0L
+            while (n < perPart && merges(p).hasNext) { out += merges(p).next(); n += 1 }
+          }
+          open = open.filter(part => merges(part(0)) == null || merges(part(0)).hasNext)
+          if (e > 0) enqueueBatches(rows, queues(0)) else sinkRows(rows)
+          sourceDone = open.isEmpty
+        }
   }
 }

@@ -126,12 +126,15 @@ final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
   * An extend whose plan join pushes (BiGJoin) instead charges each row's
   * trip to its pivots' owners and intersects there.
   */
-final class Extender(pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConfig,
+final class Extender(val pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConfig,
                      metrics: Metrics, stopped: () => Boolean) {
 
   private val adj = new Adjacency(pool.machine, pg, NbrCache(cfg.cacheKind, cfg.cacheCapacityEntries),
                                   cfg.externalStore, metrics)
-  private val maxExpansion = math.max(cfg.batchSize.toLong * 8, 32768L)
+  /** The most rows one step of Algorithm 5 may add at once: an intersect
+    * range's expected expansion, and a join-source refill.
+    */
+  val maxExpansion: Long = math.max(cfg.batchSize.toLong * 8, 32768L)
 
   /** Process one input batch, emitting bounded output chunks. */
   def apply(ex: Kernels.Extend, batch: Array[Array[Int]],

@@ -5,40 +5,87 @@ import repro.core.PushJoin
 import scala.collection.mutable.ArrayBuffer
 
 /** One PUSH-JOIN (§4.3), a buffered distributed hash join, over its whole
-  * lifecycle: each produced row is routed to the machine owning its join
-  * key ([[push]]), buffered and spilled there per side, merged by key group
-  * ([[resultIterator]]) and finally dropped with its spill runs ([[clear]]).
+  * lifecycle: each chunk of produced rows is routed to the machines owning
+  * its join keys ([[route]]), buffered and spilled there per side, merged
+  * by key group ([[resultIterator]]) and finally dropped with its spill runs
+  * ([[clear]]).
+  *
+  * Each machine's buckets are split into [[parts]] = `workersPerMachine`
+  * key parts, so that the machine's workers sort and merge them in
+  * parallel ([[partIterator]]); the rows of one key are in one part. Side
+  * `side` of part `p` on machine `m` is `buffers(m)(2 · p + side)`. A part
+  * spills at its share of the threshold, max(1, `spillThresholdRows` /
+  * parts), so a machine side holds at most max(threshold, parts) rows in
+  * memory.
   */
 final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
+  val parts: Int      = cfg.workersPerMachine
+  private val buckets = cfg.machines * parts
   private val sides   = Array(op.left, op.right)
   private val keyCols = sides.map(side => op.key.map(side.col).toArray)
   private val pairs   = new Kernels.PairJoin(op)
-  val buffers: Array[Array[JoinSideBuffer]] = Array.tabulate(cfg.machines, 2) { (m, side) =>
-    new JoinSideBuffer(sides(side).matched.length, keyCols(side), cfg.spillThresholdRows, m, metrics)
+  val buffers: Array[Array[JoinSideBuffer]] = Array.tabulate(cfg.machines, 2 * parts) { (m, j) =>
+    val side = j % 2
+    new JoinSideBuffer(sides(side).matched.length, keyCols(side), math.max(1, cfg.spillThresholdRows / parts),
+                       m, metrics)
   }
 
-  /** Buffer a row of `side` produced on machine `from` at the machine owning
-    * its join-key bucket; a row that leaves `from` is charged as pushed.
+  /** The bucket, machine · parts + part, of a row of `side`. Above its low
+    * 8 bits the join-key hash is read as digits: the lowest, in base
+    * `machines`, is the machine and the next, in base `parts`, the part.
     */
-  def push(from: Int, side: Int, row: Array[Int]): Unit = {
+  private def bucket(side: Int, row: Array[Int]): Int = {
     val cols = keyCols(side)
     var h = 17
     var i = 0
     while (i < cols.length) { h = h * 31 + row(cols(i)) * 0x9E3779B9; i += 1 }
-    val t = (h >>> 8) % cfg.machines
-    if (t != from) metrics.bytesPushed.addAndGet(Kernels.rowBytes(row))
-    buffers(t)(side).add(row)
+    val x = h >>> 8
+    x % cfg.machines * parts + x / cfg.machines % parts
   }
 
-  /** Key-aligned merge join over this machine's buckets. Fully streaming:
-    * key groups are loaded (bounded by the largest group) but the
-    * cross-product of a group is emitted row-by-row, never materialised.
+  /** Buffer `rows` of `side`, produced on machine `from`, at the machines
+    * owning their join-key buckets: one pass groups them by bucket, in
+    * order, then each bucket takes its rows in one append. The rows that
+    * leave `from` are charged as pushed.
     */
-  def resultIterator(m: Int): Iterator[Array[Int]] = {
+  def route(from: Int, side: Int, rows: collection.IndexedSeq[Array[Int]]): Unit = {
+    val n     = rows.length
+    val of    = new Array[Int](n)
+    val start = new Array[Int](buckets + 1) // bucket b's rows are grouped(start(b) until start(b + 1))
+    var pushed = 0L
+    var i = 0
+    while (i < n) {
+      val b = bucket(side, rows(i))
+      of(i) = b
+      start(b + 1) += 1
+      if (b / parts != from) pushed += Kernels.rowBytes(rows(i))
+      i += 1
+    }
+    if (pushed > 0) metrics.bytesPushed.addAndGet(pushed)
+    var b = 0
+    while (b < buckets) { start(b + 1) += start(b); b += 1 }
+    val next    = start.clone()
+    val grouped = new Array[Array[Int]](n)
+    i = 0
+    while (i < n) { grouped(next(of(i))) = rows(i); next(of(i)) += 1; i += 1 }
+    b = 0
+    while (b < buckets) {
+      if (start(b) < start(b + 1))
+        buffers(b / parts)(2 * (b % parts) + side).addAll(grouped, start(b), start(b + 1))
+      b += 1
+    }
+  }
+
+  /** Key-aligned merge join over part `part` of machine m's buckets. Fully
+    * streaming: key groups are loaded (bounded by the largest group) but
+    * the cross-product of a group is emitted row-by-row, never
+    * materialised. Both sides are sorted here, on the calling thread.
+    */
+  def partIterator(m: Int, part: Int): Iterator[Array[Int]] = {
     import JoinSideBuffer.compareKeys
     val Array(leftKeyCols, rightKeyCols) = keyCols
-    val li = buffers(m)(0).sortedIterator().buffered
-    val ri = buffers(m)(1).sortedIterator().buffered
+    val li = buffers(m)(2 * part).sortedIterator().buffered
+    val ri = buffers(m)(2 * part + 1).sortedIterator().buffered
     new Iterator[Array[Int]] {
       private val lg = new ArrayBuffer[Array[Int]]()
       private val rg = new ArrayBuffer[Array[Int]]()
@@ -83,6 +130,9 @@ final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
     }
   }
 
+  /** The merge join over all of machine m's buckets: its parts' merges, one after another. */
+  def resultIterator(m: Int): Iterator[Array[Int]] = Iterator.range(0, parts).flatMap(partIterator(m, _))
+
   /** Drop machine m's rows and spill runs, once its merge is done or abandoned. */
   def clear(m: Int): Unit = buffers(m).foreach(_.clear())
 
@@ -91,8 +141,9 @@ final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
 
 /** One side of a buffered distributed hash join (§4.3) on one machine.
   *
-  * Producers add shuffled rows; when the in-memory buffer exceeds the
-  * threshold the rows are sorted by join key and spilled to disk as a run
+  * Producers append routed chunks of rows ([[addAll]], one lock per
+  * chunk); when the in-memory buffer reaches the threshold the rows are
+  * sorted by join key and spilled to disk as a run
   * ("external merge sort via the join keys"). `sortedIterator` merges the
   * in-memory rest with all on-disk runs into one key-ordered stream, so the
   * join reads each key group streaming — memory stays bounded by the buffer
@@ -111,19 +162,36 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
   private val keySame = Array.fill(keyCols.length)(-1)
   private val keyAny  = new Array[Int](keyCols.length)
 
-  def add(row: Array[Int]): Unit = this.synchronized {
-    mem += row
-    total += 1
-    var c = 0
-    while (c < keyCols.length) {
-      val v = row(keyCols(c)) ^ Int.MinValue
-      keySame(c) &= v
-      keyAny(c) |= v
-      c += 1
+  /** Append `rows(from until until)` under one lock: the buffer spills as
+    * soon as it holds `spillThresholdRows` rows, and the machine's memory
+    * is charged once per spill and once for the rest.
+    */
+  def addAll(rows: Array[Array[Int]], from: Int, until: Int): Unit = this.synchronized {
+    var held = 0 // rows appended and not yet charged
+    var i    = from
+    while (i < until) {
+      val row = rows(i)
+      mem += row
+      var c = 0
+      while (c < keyCols.length) {
+        val v = row(keyCols(c)) ^ Int.MinValue
+        keySame(c) &= v
+        keyAny(c) |= v
+        c += 1
+      }
+      held += 1
+      i += 1
+      if (mem.length >= spillThresholdRows) {
+        metrics.memAdd(machine, 4L * rowWidth * held)
+        held = 0
+        spill()
+      }
     }
-    metrics.memAdd(machine, Kernels.rowBytes(row))
-    if (mem.length >= spillThresholdRows) spill()
+    total += until - from
+    if (held > 0) metrics.memAdd(machine, 4L * rowWidth * held)
   }
+
+  def add(row: Array[Int]): Unit = addAll(Array(row), 0, 1)
 
   def rows: Long = this.synchronized(total)
 

@@ -70,10 +70,11 @@ object EnumProperties extends Properties("Enum") {
     * 1–4096 rows (mostly small, so the worker pool splits them), chunks of
     * 1–64, queues of 1–10⁶ rows or unbounded (DFS to BFS), every cache
     * design with 1 entry, 8 or the default (the small ones evict, and
-    * overflow while a batch holds its pivots sealed), a join
-    * spill threshold of 1 row (every row its own run, so the merge takes
-    * many runs), 4 rows or the default, and the external store and
-    * inter-machine stealing each on or off.
+    * overflow while a batch holds its pivots sealed), a join spill
+    * threshold of 1–10⁶ rows or unbounded (at 1 every row is its own run,
+    * so the merge takes many runs; each of a machine's 1–4 join parts
+    * spills at its share), and the external store and inter-machine
+    * stealing each on or off.
     */
   val genEngineConfig: Gen[EngineConfig] = for {
     machines <- Gen.choose(1, 5)
@@ -83,7 +84,7 @@ object EnumProperties extends Properties("Enum") {
     queue    <- Gen.frequency(4 -> logUniform(1000000L), 1 -> Gen.const(Long.MaxValue))
     cache    <- Gen.oneOf(CacheKind.all)
     capacity <- Gen.oneOf(1, 8, EngineConfig().cacheCapacityEntries)
-    spill    <- Gen.oneOf(1, 4, EngineConfig().spillThresholdRows)
+    spill    <- Gen.frequency(4 -> logUniform(1000000L).map(_.toInt), 1 -> Gen.const(Int.MaxValue))
     external <- Gen.oneOf(false, true)
     steal    <- Gen.oneOf(false, true)
   } yield EngineConfig(machines = machines, workersPerMachine = workers, batchSize = batch,
