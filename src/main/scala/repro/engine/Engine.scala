@@ -165,9 +165,13 @@ final class StageBoard(val stage: Stage, pg: PartitionedGraph, extenders: Array[
   * walk and StealWork, source generation and sinks. PULL-EXTENDs run on the
   * machine's [[Extender]]; a machine with no work of its own steals through
   * [[StealWork]], which puts the batch on its own queue for the same loop to
-  * drain. A join source sorts and merges the machine's join parts on the
-  * extender's [[WorkerPool]], and a join sink routes each output chunk with
-  * one [[JoinSpec.route]].
+  * drain. The chain's last operator hands its output to the stage's sink on
+  * the extender's [[WorkerPool]], by the worker that made it: a join sink
+  * routes each worker's share with one [[JoinSpec.route]], the count sink
+  * counts it.
+  * A join source sorts and merges the machine's join parts on the same
+  * pool; feeding the count sink directly, it counts the joined pairs and
+  * builds no row.
   */
 final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, extender: Extender,
                           cfg: EngineConfig, metrics: Metrics, stopped: () => Boolean) {
@@ -203,13 +207,11 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
     */
   private def drainExtend(qi: Int): Unit = {
     def outFull = qi + 1 < e && queues(qi + 1).isFull
+    val last = qi + 1 == e
+    val emit: ArrayBuffer[Array[Int]] => Unit = if (last) sink else enqueueBatches(_, queues(qi + 1))
     while (!queues(qi).isEmpty && !outFull && !stopped()) {
       val batch = queues(qi).tryDequeue()
-      if (batch != null)
-        extender(stage.exts(qi), batch, { out =>
-          if (qi + 1 < e) enqueueBatches(out, queues(qi + 1))
-          else sinkRows(out)
-        })
+      if (batch != null) extender(stage.exts(qi), batch, emit, onWorkers = last)
     }
   }
 
@@ -225,9 +227,10 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
     }
   }
 
-  private def sinkRows(rows: collection.IndexedSeq[Array[Int]]): Unit = stage.sink match {
-    case CountSink            => metrics.results.addAndGet(rows.length)
-    case JoinSink(spec, side) => spec.route(m, side, rows)
+  /** The stage's sink; thread-safe, as the workers call it. */
+  private val sink: ArrayBuffer[Array[Int]] => Unit = stage.sink match {
+    case CountSink            => rows => metrics.results.addAndGet(rows.length)
+    case JoinSink(spec, side) => rows => spec.route(m, side, rows)
   }
 
   // ---- sources ------------------------------------------------------------
@@ -239,17 +242,12 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
     */
   private val generateSource: () => Unit = stage.source match {
     case ScanSrc(conds) =>
-      // Local vertices in multiplicative-hash order: with hub-first vertex
-      // ids (our generators place hubs at low ids) a sequential scan would
-      // start with the most expensive pivots; hashing spreads them evenly,
-      // which is what a random partition of a real graph looks like.
-      // Lazy: the sort runs on the machine thread, not the board's.
-      lazy val local = pg.localVertices(m).toArray.sortBy(v => v * 0x9E3779B9)
       var next = 0
       () => {
+        val local = extender.scanOrder
         val batch = new ArrayBuffer[Array[Int]](cfg.batchSize)
         def flush(): Unit = if (batch.nonEmpty) {
-          if (e > 0) queues(0).enqueue(batch.toArray) else sinkRows(batch)
+          if (e > 0) queues(0).enqueue(batch.toArray) else sink(batch)
           batch.clear()
         }
         // One local vertex's scanned edges at a time.
@@ -272,20 +270,29 @@ final class MachineRunner(val m: Int, board: StageBoard, pg: PartitionedGraph, e
       // The join parts run on the machine's workers. A part's merge is
       // built, and so its two sides are sorted, by the worker that first
       // reads it. A refill reads at most maxExpansion / parts rows from
-      // each open part, so no more in all than one extend range may add.
-      val merges  = new Array[Iterator[Array[Int]]](spec.parts)
-      var open    = Vector.tabulate(spec.parts)(Array(_))
-      val perPart = math.max(1L, extender.maxExpansion / spec.parts)
+      // each open part, so no more in all than one extend range may add;
+      // with no extend the rows go to the sink on the workers. Feeding the
+      // count sink, a part is counted to its end in one refill, a slice of
+      // that many visited pairs at a time, so that a stop is seen.
+      val merges   = new Array[PartMerge](spec.parts)
+      var open     = Vector.tabulate(spec.parts)(Array(_))
+      val perPart  = math.max(1L, extender.maxExpansion / spec.parts)
+      val counting = e == 0 && stage.sink == CountSink
       () =>
         while (open.nonEmpty && !firstFull && !stopped()) {
-          val rows = extender.pool.run(open, 1, stopped) { (part, out) =>
+          val rows = extender.pool.run(open, 1, stopped, if (e > 0) null else sink) { (part, out) =>
             val p = part(0)
-            if (merges(p) == null) merges(p) = spec.partIterator(m, p)
-            var n = 0L
-            while (n < perPart && merges(p).hasNext) { out += merges(p).next(); n += 1 }
+            if (merges(p) == null) merges(p) = spec.merge(m, p)
+            val merge = merges(p)
+            if (counting) while (!merge.done && !stopped()) metrics.results.addAndGet(merge.count(perPart))
+            else {
+              var n   = 0L
+              var row: Array[Int] = null
+              while (n < perPart && { row = merge.nextRow(); row != null }) { out += row; n += 1 }
+            }
           }
-          open = open.filter(part => merges(part(0)) == null || merges(part(0)).hasNext)
-          if (e > 0) enqueueBatches(rows, queues(0)) else sinkRows(rows)
+          open = open.filter(part => merges(part(0)) == null || !merges(part(0)).done)
+          if (rows.nonEmpty) enqueueBatches(rows, queues(0))
           sourceDone = open.isEmpty
         }
   }

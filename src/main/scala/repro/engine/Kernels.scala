@@ -164,24 +164,48 @@ object Kernels {
   }
 
   /** PUSH-JOIN (§4.3) on one (left, right) row pair with equal join keys:
-    * the join's injectivity pairs and conditions must hold. Returns the
-    * merged row, or null if the pair is infeasible.
+    * the join's injectivity pairs and conditions must hold. The pair is
+    * read in place, each row at an offset of a flat array, so a pair that
+    * does not join costs no row.
     */
   final class PairJoin(j: PushJoin) {
+    private val lWidth     = j.left.matched.length
     private val rExtraCols = j.right.matched.diff(j.left.matched).map(j.right.col).toArray
     private val distinctL  = j.distinctPairs.map(p => j.left.col(p._1)).toArray
     private val distinctR  = j.distinctPairs.map(p => j.right.col(p._2)).toArray
     private val width = j.matched.length
-    private val conds = new Conds(j)
+    // A merged row's column as the side it is read from: c >= 0 is left
+    // column c, c < 0 is right column ~c.
+    private def sideCol(c: Int): Int = if (c < lWidth) c else ~rExtraCols(c - lWidth)
+    private val condLo = j.conds.map(c => sideCol(j.col(c._1))).toArray
+    private val condHi = j.conds.map(c => sideCol(j.col(c._2))).toArray
 
-    def tryJoin(l: Array[Int], r: Array[Int]): Array[Int] = {
+    private def at(c: Int, l: Array[Int], lOff: Int, r: Array[Int], rOff: Int): Int =
+      if (c >= 0) l(lOff + c) else r(rOff + ~c)
+
+    /** Whether the left row at `l(lOff)` and the right row at `r(rOff)` join. */
+    def joins(l: Array[Int], lOff: Int, r: Array[Int], rOff: Int): Boolean = {
       var i = 0
-      while (i < distinctL.length) { if (l(distinctL(i)) == r(distinctR(i))) return null; i += 1 }
-      val row = java.util.Arrays.copyOf(l, width)
+      while (i < distinctL.length) { if (l(lOff + distinctL(i)) == r(rOff + distinctR(i))) return false; i += 1 }
       i = 0
-      while (i < rExtraCols.length) { row(l.length + i) = r(rExtraCols(i)); i += 1 }
-      if (conds.ok(row)) row else null
+      while (i < condLo.length) {
+        if (at(condLo(i), l, lOff, r, rOff) >= at(condHi(i), l, lOff, r, rOff)) return false
+        i += 1
+      }
+      true
     }
+
+    /** The merged row of a pair that [[joins]]. */
+    def row(l: Array[Int], lOff: Int, r: Array[Int], rOff: Int): Array[Int] = {
+      val out = new Array[Int](width)
+      System.arraycopy(l, lOff, out, 0, lWidth)
+      var i = 0
+      while (i < rExtraCols.length) { out(lWidth + i) = r(rOff + rExtraCols(i)); i += 1 }
+      out
+    }
+
+    /** The merged row of two row arrays, or null if the pair is infeasible. */
+    def tryJoin(l: Array[Int], r: Array[Int]): Array[Int] = if (joins(l, 0, r, 0)) row(l, 0, r, 0) else null
   }
 
   /** Open-addressing int hash set (no boxing) — the fetch stage dedups the

@@ -25,4 +25,27 @@ final class PartitionedGraph(val g: DataGraph, val k: Int) {
 
   def localVertices(machine: Int): Iterator[Int] =
     (0 until g.numVertices).iterator.filter(owner(_) == machine)
+
+  /** The vertices `machine` owns in multiplicative-hash order, the order a
+    * scan source visits them. With hub-first vertex ids (our generators
+    * place hubs at low ids) a sequential scan would start with the most
+    * expensive pivots; hashing spreads them evenly, which is what a random
+    * partition of a real graph looks like. Each vertex is sorted as the
+    * `Long` (hash << 32 | v), unboxed; v · 0x9E3779B9 is a bijection on
+    * `Int`, so no two vertices tie.
+    */
+  def scanOrder(machine: Int): Array[Int] = {
+    val keys = new Array[Long](g.numVertices)
+    var n = 0
+    var v = 0
+    while (v < g.numVertices) {
+      if (owner(v) == machine) { keys(n) = ((v * 0x9E3779B9).toLong << 32) | (v & 0xFFFFFFFFL); n += 1 }
+      v += 1
+    }
+    java.util.Arrays.sort(keys, 0, n)
+    val order = new Array[Int](n)
+    var i = 0
+    while (i < n) { order(i) = keys(i).toInt; i += 1 }
+    order
+  }
 }

@@ -122,7 +122,8 @@ final class Adjacency(m: Int, pg: PartitionedGraph, cache: NbrCache,
   * fetch stage once on the machine's [[Adjacency]]; its intersect stage
   * then runs on the [[WorkerPool]] in ranges of bounded expected
   * expansion, and each range's output is emitted (never into another
-  * extend: the batch's fetch scope is still open) before the next starts.
+  * extend: the batch's fetch scope is still open) before the next starts,
+  * or handed to the chain's sink by the workers that made it.
   * An extend whose plan join pushes (BiGJoin) instead charges each row's
   * trip to its pivots' owners and intersects there.
   */
@@ -136,12 +137,18 @@ final class Extender(val pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConf
     */
   val maxExpansion: Long = math.max(cfg.batchSize.toLong * 8, 32768L)
 
-  /** Process one input batch, emitting bounded output chunks. */
+  /** This machine's local vertices in scan order, sorted once per run. */
+  lazy val scanOrder: Array[Int] = pg.scanOrder(pool.machine)
+
+  /** Process one input batch, handing each intersect range's output to
+    * `emit`: with `onWorkers`, each worker its own share, on its thread;
+    * else the calling thread all of it.
+    */
   def apply(ex: Kernels.Extend, batch: Array[Array[Int]],
-            emit: ArrayBuffer[Array[Int]] => Unit): Unit = ex.op.comm match {
+            emit: ArrayBuffer[Array[Int]] => Unit, onWorkers: Boolean): Unit = ex.op.comm match {
     case CommMode.Pulling =>
       adj.fetch(batch, ex.pivotCols)
-      intersect(ex, batch, adj.read, emit)
+      intersect(ex, batch, adj.read, emit, onWorkers)
       adj.release()
     case CommMode.Pushing =>
       // Each partial result travels to the owner of every extension pivot
@@ -159,7 +166,7 @@ final class Extender(val pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConf
         }
         b += 1
       }
-      intersect(ex, batch, pg.serveNbrs, emit)
+      intersect(ex, batch, pg.serveNbrs, emit, onWorkers)
   }
 
   /** The intersect stage of `batch`. A row's *expected expansion* is its
@@ -172,7 +179,7 @@ final class Extender(val pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConf
     * expected rows or more, so a heavy range fills every worker.
     */
   private def intersect(ex: Kernels.Extend, batch: Array[Array[Int]], nbrsOf: Int => Array[Int],
-                        emit: ArrayBuffer[Array[Int]] => Unit): Unit = {
+                        emit: ArrayBuffer[Array[Int]] => Unit, onWorkers: Boolean): Unit = {
     val weights = expansion(ex, batch)
     var start = 0
     var acc   = 0L
@@ -185,9 +192,9 @@ final class Extender(val pool: WorkerPool, pg: PartitionedGraph, cfg: EngineConf
                     else java.util.Arrays.copyOfRange(batch, start, i)
         val from  = start
         val chunk = math.max(cfg.chunkSize.toLong, acc / (4 * cfg.workersPerMachine))
-        emit(pool.runWeighted(ArraySeq.unsafeWrapArray(range), r => weights(from + r), chunk, stopped) {
-          (row, out) => ex(row, nbrsOf, out)
-        })
+        val rows  = pool.runWeighted(ArraySeq.unsafeWrapArray(range), r => weights(from + r), chunk, stopped,
+                                     if (onWorkers) emit else null) { (row, out) => ex(row, nbrsOf, out) }
+        if (rows.nonEmpty) emit(rows)
         start = i
         acc = 0L
       }

@@ -1,32 +1,35 @@
 package repro.engine
 
-import java.io._
+import java.io.File
+import java.nio.ByteBuffer
+import java.nio.channels.FileChannel
+import java.nio.file.StandardOpenOption
 import repro.core.PushJoin
 import scala.collection.mutable.ArrayBuffer
 
 /** One PUSH-JOIN (§4.3), a buffered distributed hash join, over its whole
   * lifecycle: each chunk of produced rows is routed to the machines owning
-  * its join keys ([[route]]), buffered and spilled there per side, merged
-  * by key group ([[resultIterator]]) and finally dropped with its spill runs
-  * ([[clear]]).
+  * its join keys ([[route]]), by the worker that produced it, buffered flat
+  * and spilled there per side, merged by key group ([[merge]]) and finally
+  * dropped with its spill runs ([[clear]]).
   *
   * Each machine's buckets are split into [[parts]] = `workersPerMachine`
   * key parts, so that the machine's workers sort and merge them in
-  * parallel ([[partIterator]]); the rows of one key are in one part. Side
-  * `side` of part `p` on machine `m` is `buffers(m)(2 · p + side)`. A part
-  * spills at its share of the threshold, max(1, `spillThresholdRows` /
-  * parts), so a machine side holds at most max(threshold, parts) rows in
-  * memory.
+  * parallel; the rows of one key are in one part. Side `side` of part `p`
+  * on machine `m` is `buffers(m)(2 · p + side)`. A part spills at its share
+  * of the threshold, max(1, `spillThresholdRows` / parts), so a machine
+  * side holds at most max(threshold, parts) rows in memory.
   */
 final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
   val parts: Int      = cfg.workersPerMachine
   private val buckets = cfg.machines * parts
   private val sides   = Array(op.left, op.right)
   private val keyCols = sides.map(side => op.key.map(side.col).toArray)
+  private val widths  = sides.map(_.matched.length)
   private val pairs   = new Kernels.PairJoin(op)
   val buffers: Array[Array[JoinSideBuffer]] = Array.tabulate(cfg.machines, 2 * parts) { (m, j) =>
     val side = j % 2
-    new JoinSideBuffer(sides(side).matched.length, keyCols(side), math.max(1, cfg.spillThresholdRows / parts),
+    new JoinSideBuffer(widths(side), keyCols(side), math.max(1, cfg.spillThresholdRows / parts),
                        m, metrics)
   }
 
@@ -40,94 +43,64 @@ final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
     var i = 0
     while (i < cols.length) { h = h * 31 + row(cols(i)) * 0x9E3779B9; i += 1 }
     val x = h >>> 8
-    x % cfg.machines * parts + x / cfg.machines % parts
+    val q = x / cfg.machines
+    (x - q * cfg.machines) * parts + q % parts
   }
 
   /** Buffer `rows` of `side`, produced on machine `from`, at the machines
     * owning their join-key buckets: one pass groups them by bucket, in
-    * order, then each bucket takes its rows in one append. The rows that
-    * leave `from` are charged as pushed.
+    * order, into one flat array, then each bucket copies its rows in one
+    * append. The rows that leave `from` are charged as pushed. Safe to
+    * call from several threads.
     */
   def route(from: Int, side: Int, rows: collection.IndexedSeq[Array[Int]]): Unit = {
     val n     = rows.length
+    val width = widths(side)
     val of    = new Array[Int](n)
-    val start = new Array[Int](buckets + 1) // bucket b's rows are grouped(start(b) until start(b + 1))
+    val fromLo = from * parts // machine from's buckets are fromLo until fromLo + parts
+    val start = new Array[Int](buckets + 1) // bucket b's rows are flat rows start(b) until start(b + 1)
     var pushed = 0L
     var i = 0
     while (i < n) {
       val b = bucket(side, rows(i))
       of(i) = b
       start(b + 1) += 1
-      if (b / parts != from) pushed += Kernels.rowBytes(rows(i))
+      if (b < fromLo || b >= fromLo + parts) pushed += Kernels.rowBytes(rows(i))
       i += 1
     }
     if (pushed > 0) metrics.bytesPushed.addAndGet(pushed)
     var b = 0
     while (b < buckets) { start(b + 1) += start(b); b += 1 }
-    val next    = start.clone()
-    val grouped = new Array[Array[Int]](n)
+    val next = start.clone()
+    val flat = new Array[Int](n * width)
     i = 0
-    while (i < n) { grouped(next(of(i))) = rows(i); next(of(i)) += 1; i += 1 }
+    while (i < n) {
+      val row = rows(i)
+      val at  = next(of(i)) * width
+      var c   = 0
+      while (c < width) { flat(at + c) = row(c); c += 1 }
+      next(of(i)) += 1
+      i += 1
+    }
     b = 0
     while (b < buckets) {
       if (start(b) < start(b + 1))
-        buffers(b / parts)(2 * (b % parts) + side).addAll(grouped, start(b), start(b + 1))
+        buffers(b / parts)(2 * (b % parts) + side).addAll(flat, start(b), start(b + 1))
       b += 1
     }
   }
 
-  /** Key-aligned merge join over part `part` of machine m's buckets. Fully
-    * streaming: key groups are loaded (bounded by the largest group) but
-    * the cross-product of a group is emitted row-by-row, never
-    * materialised. Both sides are sorted here, on the calling thread.
+  /** The merge join of part `part` of machine m's buckets. Both sides are
+    * sorted here, on the calling thread; call once per part.
     */
+  def merge(m: Int, part: Int): PartMerge =
+    new PartMerge(buffers(m)(2 * part).sortedGroups(), keyCols(0),
+                  buffers(m)(2 * part + 1).sortedGroups(), keyCols(1), pairs)
+
+  /** The joined rows of part `part` of machine m's buckets, streaming. */
   def partIterator(m: Int, part: Int): Iterator[Array[Int]] = {
-    import JoinSideBuffer.compareKeys
-    val Array(leftKeyCols, rightKeyCols) = keyCols
-    val li = buffers(m)(2 * part).sortedIterator().buffered
-    val ri = buffers(m)(2 * part + 1).sortedIterator().buffered
-    new Iterator[Array[Int]] {
-      private val lg = new ArrayBuffer[Array[Int]]()
-      private val rg = new ArrayBuffer[Array[Int]]()
-      private var i = 0; private var j = 0
-      private var nextRow: Array[Int] = advance()
-
-      private def loadGroups(): Boolean = {
-        lg.clear(); rg.clear(); i = 0; j = 0
-        while (li.hasNext && ri.hasNext) {
-          val c = compareKeys(li.head, leftKeyCols, ri.head, rightKeyCols)
-          if (c < 0) li.next()
-          else if (c > 0) ri.next()
-          else {
-            val keyRow = li.head
-            while (li.hasNext && compareKeys(li.head, leftKeyCols, keyRow, leftKeyCols) == 0)
-              lg += li.next()
-            while (ri.hasNext && compareKeys(ri.head, rightKeyCols, keyRow, leftKeyCols) == 0)
-              rg += ri.next()
-            return true
-          }
-        }
-        false
-      }
-
-      private def advance(): Array[Int] = {
-        while (true) {
-          while (i < lg.length) {
-            while (j < rg.length) {
-              val row = pairs.tryJoin(lg(i), rg(j))
-              j += 1
-              if (row != null) return row
-            }
-            j = 0; i += 1
-          }
-          if (!loadGroups()) return null
-        }
-        null // unreachable
-      }
-
-      def hasNext: Boolean = nextRow != null
-      def next(): Array[Int] = { val r = nextRow; nextRow = advance(); r }
-    }
+    val mg = merge(m, part)
+    Iterator.continually(mg.nextRow()).takeWhile(_ != null)
   }
 
   /** The merge join over all of machine m's buckets: its parts' merges, one after another. */
@@ -139,22 +112,99 @@ final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
   def clear(): Unit = buffers.indices.foreach(clear)
 }
 
+/** The key-aligned merge join of one part's two key-sorted sides. Each side
+  * is read one key group at a time, as a row range of a flat array, so
+  * memory is bounded by the largest group; a pair of equal-key groups is
+  * visited row pair by row pair on array offsets. Only a pair that joins
+  * becomes a row ([[nextRow]]); [[count]] counts them and builds none.
+  * Both read the same cursor, so a merge may be drained in slices.
+  */
+final class PartMerge private[engine] (l: JoinSideBuffer.KeyGroups, lKey: Array[Int],
+                                       r: JoinSideBuffer.KeyGroups, rKey: Array[Int],
+                                       pairs: Kernels.PairJoin) {
+  import JoinSideBuffer.compareKeys
+  // The next pair to visit is left row li and right row rj of the current
+  // equal-key groups.
+  private var li   = 0
+  private var rj   = 0
+  private var live = nextGroups()
+
+  /** Advance the sides to their next common key. */
+  private def align(): Boolean = {
+    while (true) {
+      val c = compareKeys(l.rows, l.from * l.width, lKey, r.rows, r.from * r.width, rKey)
+      if (c == 0) { li = l.from; rj = r.from; return true }
+      if (!(if (c < 0) l.next() else r.next())) return false
+    }
+    false // unreachable
+  }
+
+  /** Move on to the next pair of equal-key groups; false at the end. */
+  private def nextGroups(): Boolean = l.next() && r.next() && align()
+
+  /** True when every pair has been visited. */
+  def done: Boolean = !live
+
+  /** The next joined row, or null when none is left. */
+  def nextRow(): Array[Int] = {
+    while (live) {
+      while (li < l.until) {
+        while (rj < r.until) {
+          val lo = li * l.width
+          val ro = rj * r.width
+          rj += 1
+          if (pairs.joins(l.rows, lo, r.rows, ro)) return pairs.row(l.rows, lo, r.rows, ro)
+        }
+        rj = r.from
+        li += 1
+      }
+      live = nextGroups()
+    }
+    null
+  }
+
+  /** The number of joining pairs among the next pairs visited, until at
+    * least `budget` pairs are visited or none is left.
+    */
+  def count(budget: Long): Long = {
+    var n    = 0L
+    var seen = 0L
+    while (live && seen < budget) {
+      while (li < l.until && seen < budget) {
+        seen += r.until - rj
+        while (rj < r.until) {
+          if (pairs.joins(l.rows, li * l.width, r.rows, rj * r.width)) n += 1
+          rj += 1
+        }
+        rj = r.from
+        li += 1
+      }
+      if (li == l.until) live = nextGroups()
+    }
+    n
+  }
+}
+
 /** One side of a buffered distributed hash join (§4.3) on one machine.
   *
   * Producers append routed chunks of rows ([[addAll]], one lock per
-  * chunk); when the in-memory buffer reaches the threshold the rows are
-  * sorted by join key and spilled to disk as a run
-  * ("external merge sort via the join keys"). `sortedIterator` merges the
-  * in-memory rest with all on-disk runs into one key-ordered stream, so the
-  * join reads each key group streaming — memory stays bounded by the buffer
-  * size regardless of input size. Spilled runs and the in-memory rest are
-  * ordered by the same sort, [[JoinSideBuffer.sortByKeys]].
+  * chunk), copied into one growable flat `Int` array, `rowWidth` ints per
+  * row. When the buffer reaches the threshold the rows are sorted by join
+  * key into a flat array, which is spilled to disk as a run in one pass
+  * ("external merge sort via the join keys"). [[sortedGroups]] merges the
+  * in-memory rest with all runs into one key-ordered stream, read one key
+  * group at a time as a row range of a flat array, so the join's memory
+  * stays bounded by the buffer size regardless of input size. Spilled runs
+  * and the in-memory rest are ordered by the same sort,
+  * [[JoinSideBuffer.sortByKeys]].
   */
 final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRows: Int,
                            machine: Int, metrics: Metrics) {
-  private val mem     = new ArrayBuffer[Array[Int]]()
+  import JoinSideBuffer._
+  private var mem     = Array.emptyIntArray
+  private var held    = 0 // rows in `mem`
   private val runs    = new ArrayBuffer[File]()
-  private val readers = new ArrayBuffer[DataInputStream]()
+  private val readers = new ArrayBuffer[FileChannel]()
   private var total   = 0L
   // Per key column of the in-memory rows, sign bit flipped: the bits that
   // are 1 in every row and in some row. Bits outside their difference
@@ -162,94 +212,97 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
   private val keySame = Array.fill(keyCols.length)(-1)
   private val keyAny  = new Array[Int](keyCols.length)
 
-  /** Append `rows(from until until)` under one lock: the buffer spills as
-    * soon as it holds `spillThresholdRows` rows, and the machine's memory
-    * is charged once per spill and once for the rest.
+  /** Append rows [from, until) of the flat `rows`, `rowWidth` ints each,
+    * under one lock: the buffer spills as soon as it holds
+    * `spillThresholdRows` rows, and the machine's memory is charged once
+    * per spill and once for the rest.
     */
-  def addAll(rows: Array[Array[Int]], from: Int, until: Int): Unit = this.synchronized {
-    var held = 0 // rows appended and not yet charged
-    var i    = from
+  def addAll(rows: Array[Int], from: Int, until: Int): Unit = this.synchronized {
+    var i = from
     while (i < until) {
-      val row = rows(i)
-      mem += row
+      val k = math.min(until - i, spillThresholdRows - held) // rows up to the next spill
+      if ((held + k) * rowWidth > mem.length)
+        mem = java.util.Arrays.copyOf(mem, rowWidth * math.min(2 * held, spillThresholdRows).max(held + k))
+      System.arraycopy(rows, i * rowWidth, mem, held * rowWidth, k * rowWidth)
       var c = 0
       while (c < keyCols.length) {
-        val v = row(keyCols(c)) ^ Int.MinValue
-        keySame(c) &= v
-        keyAny(c) |= v
+        var same = keySame(c)
+        var any  = keyAny(c)
+        var at   = held * rowWidth + keyCols(c)
+        while (at < (held + k) * rowWidth) { val v = mem(at) ^ Int.MinValue; same &= v; any |= v; at += rowWidth }
+        keySame(c) = same
+        keyAny(c) = any
         c += 1
       }
-      held += 1
-      i += 1
-      if (mem.length >= spillThresholdRows) {
-        metrics.memAdd(machine, 4L * rowWidth * held)
-        held = 0
-        spill()
-      }
+      held += k
+      i += k
+      metrics.memAdd(machine, 4L * rowWidth * k)
+      if (held >= spillThresholdRows) spill()
     }
     total += until - from
-    if (held > 0) metrics.memAdd(machine, 4L * rowWidth * held)
   }
 
-  def add(row: Array[Int]): Unit = addAll(Array(row), 0, 1)
+  def add(row: Array[Int]): Unit = addAll(row, 0, 1)
 
   def rows: Long = this.synchronized(total)
 
+  private def sortHeld(): Array[Int] = sortByKeys(mem, held, rowWidth, keyCols, keySame, keyAny)
+
   private def spill(): Unit = {
-    val sorted = JoinSideBuffer.sortByKeys(mem, keyCols, keySame, keyAny)
+    val sorted = sortHeld()
     val f      = File.createTempFile(s"huge-join-m$machine", ".run")
-    val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f), 1 << 16))
-    try sorted.foreach { r => var i = 0; while (i < rowWidth) { out.writeInt(r(i)); i += 1 } }
-    finally out.close()
     runs += f
-    metrics.spilledBytes.addAndGet(4L * rowWidth * sorted.length)
+    val out = FileChannel.open(f.toPath, StandardOpenOption.WRITE)
+    try {
+      val bytes = ByteBuffer.allocate(4 * IoInts)
+      val ints  = bytes.asIntBuffer()
+      var off   = 0
+      while (off < sorted.length) {
+        val len = math.min(IoInts, sorted.length - off)
+        ints.clear()
+        ints.put(sorted, off, len)
+        bytes.clear().limit(4 * len)
+        while (bytes.hasRemaining) out.write(bytes)
+        off += len
+      }
+    } finally out.close()
+    metrics.spilledBytes.addAndGet(4L * sorted.length)
     releaseMem()
   }
 
-  /** Key-ordered iterator over all buffered rows (memory + spilled runs).
-    * Call once, after all producers are done.
+  /** All buffered rows (memory and spilled runs) in key order, one key
+    * group at a time. The in-memory rows are sorted here, in place of the
+    * buffer. Call once, after all producers are done.
     */
-  def sortedIterator(): Iterator[Array[Int]] = this.synchronized {
-    val memSorted = JoinSideBuffer.sortByKeys(mem, keyCols, keySame, keyAny).iterator
-    val runIts: Seq[Iterator[Array[Int]]] = runs.toSeq.map(readRun)
-    val its = (memSorted +: runIts).map(_.buffered).filter(_.hasNext)
-    if (its.isEmpty) return Iterator.empty
-    if (its.size == 1) return its.head // common case: nothing spilled
-    new Iterator[Array[Int]] {
-      private val heap = new java.util.PriorityQueue[scala.collection.BufferedIterator[Array[Int]]](
-        math.max(1, its.size),
-        (x, y) => JoinSideBuffer.compareKeys(x.head, keyCols, y.head, keyCols))
-      its.foreach(heap.add)
-      def hasNext: Boolean = !heap.isEmpty
-      def next(): Array[Int] = {
-        val it = heap.poll()
-        val r  = it.next()
-        if (it.hasNext) heap.add(it)
-        r
-      }
+  private[engine] def sortedGroups(): KeyGroups = this.synchronized {
+    mem = sortHeld()
+    if (runs.isEmpty) return new SortedRows(mem, held, rowWidth, keyCols)
+    val memRun  = if (held == 0) Nil else List(new Cursor(mem, held * rowWidth) { def fill() = false })
+    val cursors = memRun ++ runs.map { f =>
+      val in = FileChannel.open(f.toPath, StandardOpenOption.READ)
+      readers += in
+      new RunCursor(in, rowWidth)
     }
+    new MergedRuns(cursors.filter(_.end > 0), rowWidth, keyCols)
   }
 
-  private def readRun(f: File): Iterator[Array[Int]] = {
-    val in = new DataInputStream(new BufferedInputStream(new FileInputStream(f), 1 << 16))
-    readers += in
-    new Iterator[Array[Int]] {
-      private var nextRow: Array[Int] = advance()
-      private def advance(): Array[Int] =
-        try {
-          val r = new Array[Int](rowWidth)
-          var i = 0
-          while (i < rowWidth) { r(i) = in.readInt(); i += 1 }
-          r
-        } catch { case _: EOFException => in.close(); null }
-      def hasNext: Boolean = nextRow != null
-      def next(): Array[Int] = { val r = nextRow; nextRow = advance(); r }
+  /** Key-ordered iterator over all buffered rows, each a new array (for
+    * tests and tools; the join reads [[sortedGroups]]). Call once, after
+    * all producers are done.
+    */
+  def sortedIterator(): Iterator[Array[Int]] = {
+    val g = sortedGroups()
+    Iterator.continually(g.next()).takeWhile(identity).flatMap { _ =>
+      Array.tabulate(g.until - g.from) { i =>
+        java.util.Arrays.copyOfRange(g.rows, (g.from + i) * rowWidth, (g.from + i + 1) * rowWidth)
+      }.iterator
     }
   }
 
   /** Release in-memory rows, close the run readers a merge left open, delete the runs. */
   def clear(): Unit = this.synchronized {
     releaseMem()
+    mem = Array.emptyIntArray
     readers.foreach(_.close())
     readers.clear()
     runs.foreach(_.delete())
@@ -257,8 +310,8 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
   }
 
   private def releaseMem(): Unit = {
-    metrics.memAdd(machine, -4L * rowWidth * mem.length)
-    mem.clear()
+    metrics.memAdd(machine, -4L * rowWidth * held)
+    held = 0
     java.util.Arrays.fill(keySame, -1)
     java.util.Arrays.fill(keyAny, 0)
   }
@@ -266,19 +319,102 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
 
 object JoinSideBuffer {
 
+  /** Ints per spill write and per run read. */
+  private val IoInts = 1 << 13
+
   /** Lexicographic comparison of two rows on the given key columns. */
-  def compareKeys(a: Array[Int], aCols: Array[Int], b: Array[Int], bCols: Array[Int]): Int = {
+  def compareKeys(a: Array[Int], aCols: Array[Int], b: Array[Int], bCols: Array[Int]): Int =
+    compareKeys(a, 0, aCols, b, 0, bCols)
+
+  /** [[compareKeys]] of the flat rows that start at `a(aOff)` and `b(bOff)`. */
+  def compareKeys(a: Array[Int], aOff: Int, aCols: Array[Int], b: Array[Int], bOff: Int, bCols: Array[Int]): Int = {
     var i = 0
     while (i < aCols.length) {
-      val c = Integer.compare(a(aCols(i)), b(bCols(i)))
+      val c = Integer.compare(a(aOff + aCols(i)), b(bOff + bCols(i)))
       if (c != 0) return c
       i += 1
     }
     0
   }
 
-  /** Stable LSD radix sort of `rows` by the key columns `keyCols`, in the
-    * order of [[compareKeys]]. No comparisons, no boxing.
+  /** A key-sorted side read one key group at a time: after [[next]]
+    * returns true, the group is rows [from, until) of the flat `rows`,
+    * `width` ints per row.
+    */
+  private[engine] abstract class KeyGroups(val width: Int) {
+    var rows: Array[Int] = Array.emptyIntArray
+    var from  = 0
+    var until = 0
+    def next(): Boolean
+  }
+
+  /** The groups of `n` sorted rows, as ranges of their own array. */
+  private final class SortedRows(sorted: Array[Int], n: Int, width: Int, keyCols: Array[Int])
+      extends KeyGroups(width) {
+    rows = sorted
+    def next(): Boolean = {
+      from = until
+      if (from >= n) return false
+      until += 1
+      while (until < n && compareKeys(rows, until * width, keyCols, rows, from * width, keyCols) == 0) until += 1
+      true
+    }
+  }
+
+  /** Sorted flat rows read in blocks: the current row starts at `buf(off)`,
+    * and the block ends at `buf(end)`; `fill` reads the next block.
+    */
+  private abstract class Cursor(var buf: Array[Int], var end: Int) {
+    var off = 0
+    def fill(): Boolean
+    def advance(width: Int): Boolean = { off += width; off < end || fill() }
+  }
+
+  /** A spilled run, read in blocks of whole rows; closed at its end. */
+  private final class RunCursor(in: FileChannel, width: Int)
+      extends Cursor(new Array[Int](width * math.max(1, IoInts / width)), 0) {
+    private val bytes = ByteBuffer.allocate(4 * buf.length)
+    private val ints  = bytes.asIntBuffer()
+    fill()
+
+    def fill(): Boolean = {
+      bytes.clear()
+      while (bytes.hasRemaining && in.read(bytes) >= 0) {}
+      end = bytes.position() / 4
+      ints.clear()
+      ints.get(buf, 0, end)
+      off = 0
+      if (end == 0) in.close()
+      end > 0
+    }
+  }
+
+  /** The groups of the k-way merge of sorted cursors, each copied into one
+    * growable flat array.
+    */
+  private final class MergedRuns(cursors: Seq[Cursor], width: Int, keyCols: Array[Int])
+      extends KeyGroups(width) {
+    private val heap = new java.util.PriorityQueue[Cursor](math.max(1, cursors.size),
+      (x, y) => compareKeys(x.buf, x.off, keyCols, y.buf, y.off, keyCols))
+    cursors.foreach(heap.add)
+
+    def next(): Boolean = {
+      until = 0
+      while (!heap.isEmpty &&
+             (until == 0 || compareKeys(heap.peek.buf, heap.peek.off, keyCols, rows, 0, keyCols) == 0)) {
+        val c = heap.poll()
+        if ((until + 1) * width > rows.length) rows = java.util.Arrays.copyOf(rows, width * (2 * until + 1))
+        System.arraycopy(c.buf, c.off, rows, until * width, width)
+        until += 1
+        if (c.advance(width)) heap.add(c)
+      }
+      until > 0
+    }
+  }
+
+  /** Stable LSD radix sort of the first `n` rows of the flat `rows`
+    * (`width` ints each) by the key columns `keyCols`, in the order of
+    * [[compareKeys]], into a new flat array. No comparisons, no boxing.
     *
     * Key values are taken with the sign bit flipped, so that unsigned order
     * is `Int` order. `same(c)` and `any(c)` hold the bits of key column `c`
@@ -290,12 +426,11 @@ object JoinSideBuffer {
     * for every row. Rounds run from the last key columns to the first, so a
     * join key of up to 32 varying bits is sorted in one round.
     */
-  private def sortByKeys(rows: ArrayBuffer[Array[Int]], keyCols: Array[Int],
-                         same: Array[Int], any: Array[Int]): Array[Array[Int]] = {
-    val n     = rows.length
+  private def sortByKeys(rows: Array[Int], n: Int, width: Int, keyCols: Array[Int],
+                         same: Array[Int], any: Array[Int]): Array[Int] = {
     val k     = keyCols.length
     val lo    = Array.tabulate(k)(c => Integer.numberOfTrailingZeros(same(c) ^ any(c)))
-    val width = Array.tabulate(k)(c => 32 - Integer.numberOfLeadingZeros(same(c) ^ any(c)) - lo(c) max 0)
+    val bitsOf = Array.tabulate(k)(c => 32 - Integer.numberOfLeadingZeros(same(c) ^ any(c)) - lo(c) max 0)
 
     var a = new Array[Long](n)
     var b = new Array[Long](n)
@@ -305,19 +440,19 @@ object JoinSideBuffer {
     var last = k - 1
     while (last >= 0 && n > 1) {
       var first = last
-      var bits  = width(last)
-      while (first > 0 && bits + width(first - 1) <= 32) { first -= 1; bits += width(first) }
+      var bits  = bitsOf(last)
+      while (first > 0 && bits + bitsOf(first - 1) <= 32) { first -= 1; bits += bitsOf(first) }
       var packedSame = -1
       var packedAny  = 0
       i = 0
       while (i < n) {
         val idx = a(i).toInt
-        val r   = rows(idx)
+        val r   = idx * width
         var key = 0
         var c   = first
         while (c <= last) {
-          if (width(c) > 0)
-            key = (key << width(c)) | (((r(keyCols(c)) ^ Int.MinValue) >>> lo(c)) & (-1 >>> (32 - width(c))))
+          if (bitsOf(c) > 0)
+            key = (key << bitsOf(c)) | (((rows(r + keyCols(c)) ^ Int.MinValue) >>> lo(c)) & (-1 >>> (32 - bitsOf(c))))
           c += 1
         }
         packedSame &= key
@@ -357,9 +492,16 @@ object JoinSideBuffer {
       last = first - 1
     }
     b = null // garbage from here on; a collection during the copy may reclaim it
-    val out = new Array[Array[Int]](n)
+    val out = new Array[Int](n * width)
     i = 0
-    while (i < n) { out(i) = rows(a(i).toInt); i += 1 }
+    var at = 0
+    while (i < n) {
+      val from = a(i).toInt * width
+      var c    = 0
+      while (c < width) { out(at + c) = rows(from + c); c += 1 }
+      at += width
+      i += 1
+    }
     out
   }
 

@@ -26,20 +26,28 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
 
   /** [[runWeighted]] with every row weighing 1: chunks of `chunkSize` rows. */
   def run(rows: IndexedSeq[Array[Int]], chunkSize: Int,
-          cancelled: () => Boolean = () => false)
+          cancelled: () => Boolean = () => false, sink: ArrayBuffer[Array[Int]] => Unit = null)
          (process: (Array[Int], ArrayBuffer[Array[Int]]) => Unit): ArrayBuffer[Array[Int]] =
-    runWeighted(rows, _ => 1L, chunkSize.toLong, cancelled)(process)
+    runWeighted(rows, _ => 1L, chunkSize.toLong, cancelled, sink)(process)
 
   /** Process `rows` in parallel: `process(row, out)` appends result rows to
-    * the worker-local buffer `out`. Returns all output rows. Each chunk is
-    * a run of consecutive rows whose weights (`weight(i)` for row i) sum to
-    * at least `chunkWeight`, except the last; a single chunk runs inline.
+    * the worker-local buffer `out`. Each chunk is a run of consecutive rows
+    * whose weights (`weight(i)` for row i) sum to at least `chunkWeight`,
+    * except the last; a single chunk runs inline, on the calling thread.
     * The caller thread blocks until every chunk is done (the stage barrier
-    * of §4.2). The first exception `process` throws stops the other
-    * workers and is rethrown here.
+    * of §4.2). The first exception `process` or `sink` throws stops the
+    * other workers and is rethrown here.
+    *
+    * With a `sink`, each worker hands its output to `sink` once, after its
+    * last chunk (an inline run, on the calling thread), and nothing is
+    * returned: a chain's last extend routes or counts its rows on the
+    * workers that made them. Without one, all output rows are returned, for
+    * the caller to cut into full `batchSize` batches on its own thread: a
+    * non-last extend regroups its output there, because per-worker partial
+    * batches would add fetch rounds, and with them RPCs, downstream.
     */
   def runWeighted(rows: IndexedSeq[Array[Int]], weight: Int => Long, chunkWeight: Long,
-                  cancelled: () => Boolean)
+                  cancelled: () => Boolean, sink: ArrayBuffer[Array[Int]] => Unit = null)
                  (process: (Array[Int], ArrayBuffer[Array[Int]]) => Unit): ArrayBuffer[Array[Int]] = {
     // Chunk c is rows [cuts(c), cuts(c + 1)).
     val cuts    = new Array[Int](rows.length + 1)
@@ -55,9 +63,11 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
       var r = from
       while (r < until && !stop) { process(rows(r), out); r += 1 }
     }
+    def handOff(out: ArrayBuffer[Array[Int]]): Unit = if (sink != null && out.nonEmpty) { sink(out); out.clear() }
     if (nWorkers == 1 || nChunks <= 1) {
       val out = new ArrayBuffer[Array[Int]]()
       runRows(0, rows.length, out, cancelled())
+      handOff(out)
       return out
     }
     val deques = Array.fill(nWorkers)(new java.util.ArrayDeque[Integer]())
@@ -86,6 +96,7 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
           } else if (!stopped) runRows(cuts(chunk), cuts(chunk + 1), outs(w), stopped)
           else done = true
         }
+        handOff(outs(w))
       } catch {
         case e: Throwable => failure.compareAndSet(null, e)
       } finally latch.countDown()

@@ -276,6 +276,48 @@ class EngineSpec extends AnyFunSuite {
     assert(par == runOn(1)._1 && par.length == 64)
   }
 
+  // The same eight chunks, each row doubled into two output rows, handed to
+  // a sink: each worker's output reaches it once, on that worker's thread.
+  test("WorkerPool's sink takes every worker's output exactly once, on the worker that made it") {
+    val rows    = (0 until 64).map(i => Array(i))
+    val pool    = new WorkerPool(0, 2, new Metrics(1, NetworkModel()))
+    val started = new java.util.concurrent.CountDownLatch(2)
+    val workers = java.util.concurrent.ConcurrentHashMap.newKeySet[String]()
+    val sunk    = scala.collection.mutable.ArrayBuffer[(String, Seq[Int])]()
+    try {
+      val left = pool.runWeighted(rows, _ => 100L, 800L, () => false, out => sunk.synchronized {
+        sunk ++= out.map(r => Thread.currentThread().getName -> r.toSeq)
+      }) { (row, out) =>
+        if (workers.add(Thread.currentThread().getName)) {
+          started.countDown()
+          started.await(10, java.util.concurrent.TimeUnit.SECONDS)
+        }
+        out += Array(row(0), 0)
+        out += Array(row(0), 1)
+      }
+      assert(left.isEmpty, "a sink takes every row")
+      assert(sunk.map(_._2).sortBy(r => (r(0), r(1))) == (0 until 64).flatMap(i => Seq(Seq(i, 0), Seq(i, 1))))
+      assert(sunk.map(_._1).toSet == workers.toArray(Array.empty[String]).toSet && workers.size == 2, sunk.map(_._1).toSet)
+      // Both rows of an input row were made, and so sunk, by one worker.
+      assert(sunk.groupBy(_._2.head).values.forall(_.map(_._1).distinct.size == 1))
+    } finally pool.shutdown()
+  }
+
+  test("WorkerPool's single-chunk inline run sinks on the calling thread") {
+    for (workers <- Seq(1, 2)) {
+      val pool = new WorkerPool(0, workers, new Metrics(1, NetworkModel()))
+      val rows = (0 until 10).map(i => Array(i))
+      val sunk = scala.collection.mutable.ArrayBuffer[(String, Seq[Seq[Int]])]()
+      try {
+        val left = pool.run(rows, 100, () => false, out => sunk += Thread.currentThread().getName -> out.map(_.toSeq).toSeq) {
+          (row, out) => out += row
+        }
+        assert(left.isEmpty)
+        assert(sunk.toSeq == Seq(Thread.currentThread().getName -> rows.map(_.toSeq)), s"$workers workers")
+      } finally pool.shutdown()
+    }
+  }
+
   // --- pinned accounting ----------------------------------------------------
   // Exact counters of single-worker runs without inter-machine stealing, so
   // the fetch, pull, push and store accounting cannot drift unnoticed.
@@ -359,6 +401,19 @@ class EngineSpec extends AnyFunSuite {
         }
       }
       assert(e.getMessage == "boom")
+    } finally pool.shutdown()
+  }
+
+  test("an exception in WorkerPool's sink reaches the caller like one in process") {
+    val pool = new WorkerPool(0, 2, new Metrics(1, NetworkModel()))
+    try {
+      for (n <- Seq(1024, 8)) { // many chunks on the workers, or one inline
+        val rows = (0 until n).map(i => Array(i))
+        val e = intercept[IllegalStateException] {
+          pool.run(rows, 16, () => false, _ => throw new IllegalStateException("sink")) { (row, out) => out += row }
+        }
+        assert(e.getMessage == "sink", s"$n rows")
+      }
     } finally pool.shutdown()
   }
 

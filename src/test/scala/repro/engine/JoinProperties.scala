@@ -108,4 +108,35 @@ object JoinProperties extends Properties("Join") {
         yield row
       (multiset(got) == multiset(want)) :| s"${got.length} rows, want ${want.length}"
     }
+
+  /** The number of pairs a nested-loop join joins. */
+  def nestedLoopCount(c: Case): Long = {
+    val pair = new Kernels.PairJoin(c.join)
+    c.rows(0).map(l => c.rows(1).count(r => c.key(0, l) == c.key(1, r) && pair.tryJoin(l, r) != null).toLong).sum
+  }
+
+  property("the counting join equals the nested-loop count, and resultIterator's size per machine") =
+    Prop.forAll(genCase, Gen.choose(1L, 64L)) { (c, budget) =>
+      // Counted in slices of at least `budget` visited pairs, as a join
+      // source counts (a shrunk budget of 0 would visit none).
+      val slice = budget max 1L
+      val counted = {
+        val (spec, _) = routed(c)
+        try (0 until c.cfg.machines).map { m =>
+          (0 until spec.parts).map { p =>
+            val merge = spec.merge(m, p)
+            var n     = 0L
+            while (!merge.done) n += merge.count(slice)
+            n
+          }.sum
+        } finally spec.clear()
+      }
+      val sizes = {
+        val (spec, _) = routed(c)
+        try (0 until c.cfg.machines).map(spec.resultIterator(_).size.toLong) finally spec.clear()
+      }
+      val want = nestedLoopCount(c)
+      (counted == sizes) :| s"counted $counted, resultIterator sizes $sizes" &&
+        (counted.sum == want) :| s"counted ${counted.sum}, nested loop $want"
+    }
 }

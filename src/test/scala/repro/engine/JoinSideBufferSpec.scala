@@ -66,6 +66,39 @@ class JoinSideBufferSpec extends AnyFunSuite {
       assert(metrics.heldBytes(0) == 0)
     }
 
+  // Thresholds from 1 row to unbounded and row counts on both sides of
+  // their multiples and of the buffer's doublings, appended in chunks of 1
+  // to 40 rows so that chunks straddle spill boundaries.
+  test("across buffer growth and every spill boundary: a key-ordered permutation, and nothing held after clear") {
+    val keyCols = keyColsByArity(2)
+    val chunks  = new scala.util.Random(11)
+    for (threshold <- Seq(1, 2, 3, 5, 16, 64, Int.MaxValue);
+         n <- Seq(0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 129, 300)) {
+      val clue    = s"threshold $threshold, $n rows"
+      val metrics = new Metrics(1)
+      val buf     = new JoinSideBuffer(width, keyCols, threshold, 0, metrics)
+      val in      = rows(n, seed = n * 31 + threshold, full = n % 2 == 0)
+      val flat    = in.flatMap(_.toSeq).toArray
+      var from    = 0
+      while (from < n) {
+        val until = math.min(n, from + 1 + chunks.nextInt(40))
+        buf.addAll(flat, from, until)
+        from = until
+      }
+      assert(buf.rows == n, clue)
+      assert(metrics.spilledBytes.get == 4L * width * (n - n % threshold), clue)
+      assert(metrics.heldBytes(0) == 4L * width * (n % threshold), clue)
+      val out = buf.sortedIterator().toVector
+      out.sliding(2).foreach {
+        case Seq(a, b) => assert(JoinSideBuffer.compareKeys(a, keyCols, b, keyCols) <= 0, clue)
+        case _         =>
+      }
+      assert(out.sortWith(lex).map(_.toSeq) == in.sortWith(lex).map(_.toSeq), clue)
+      buf.clear()
+      assert(metrics.heldBytes(0) == 0, clue)
+    }
+  }
+
   test("empty side: sortedIterator is empty and clear leaves nothing held") {
     val metrics = new Metrics(1)
     val buf     = new JoinSideBuffer(width, keyColsByArity(2), 4, 0, metrics)
